@@ -317,11 +317,14 @@ class ExperimentConfig:
         endpoint = r.str("scorer.remote.endpoint")
         if not endpoint:
             raise r.error("scorer.remote.endpoint", "remote scorer needs an endpoint")
+        timeout_ms = r.float("scorer.remote.timeout_ms", "1000")
+        if not (np.isfinite(timeout_ms) and timeout_ms > 0.0):
+            raise r.error("scorer.remote.timeout_ms", f"must be finite and > 0, got {timeout_ms}")
         return RemoteScorer(
             endpoint=endpoint,
             prompt=r.str("scorer.prompt", "a synthetic benchmark target"),
-            timeout=r.float("scorer.remote.timeout_ms", "1000") / 1e3,
-            retries=r.int("scorer.remote.retries", default=1),
+            timeout=timeout_ms / 1e3,
+            retries=r.int("scorer.remote.retries", minimum=0, default=1),
         )
 
     def _scorer_vector(self, key, seed_key, length):

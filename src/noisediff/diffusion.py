@@ -9,9 +9,9 @@ of shape (n, d) moves through the pipeline as one array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import DimensionError, ScheduleError, UnknownConditionError
 
@@ -163,6 +163,15 @@ class MixtureComponent:
             raise ValueError(f"component variance must be positive, got {self.var}")
 
 
+class _MixtureTable(NamedTuple):
+    """Constants of the noised mixture at one (t, condition)."""
+
+    means: np.ndarray  # (K, d): sqrt(ab_t) mu_k
+    variances: np.ndarray  # (K,): ab_t s_k^2 + 1 - ab_t
+    log_norm: np.ndarray  # (K,): log w_k - d/2 log(2 pi V_k), w renormalized
+    eps_scale: float  # -sqrt(1 - ab_t), maps the log-density gradient to eps
+
+
 class AnalyticMixtureDenoiser(DenoiserModel):
     """Exact noise predictor for isotropic Gaussian-mixture data.
 
@@ -171,23 +180,34 @@ class AnalyticMixtureDenoiser(DenoiserModel):
     -sqrt(1 - ab_t) times its log-density gradient. A condition id
     restricts the mixture to a subset of components (weights
     renormalized); the null condition (None) uses all of them.
+
+    The per-step constants of every condition are tabulated once at
+    construction, for t = 1..T of ``schedule``, and never rebuilt: the
+    components and each condition's indices are stored as tuples, and
+    the condition map must not be changed afterwards.
     """
 
     def __init__(self, components, schedule: NoiseSchedule, condition_map=None):
         if not components:
             raise ValueError("mixture needs at least one component")
-        self.components = list(components)
+        self.components = tuple(components)
         dims = {c.mean.size for c in self.components}
         if len(dims) != 1:
             raise DimensionError(f"component means disagree on dim: {sorted(dims)}")
         self.dim = dims.pop()
         self.schedule = schedule
-        self.condition_map = dict(condition_map or {})
+        self.condition_map = {name: tuple(idxs) for name, idxs in (condition_map or {}).items()}
         for name, idxs in self.condition_map.items():
             if not idxs:
                 raise UnknownConditionError(f"condition {name!r} maps to no components")
             if any(i < 0 or i >= len(self.components) for i in idxs):
                 raise UnknownConditionError(f"condition {name!r} has out-of-range indices")
+        self._table_schedule = schedule
+        self._tables = {
+            (t, c): self._table(schedule, t, c)
+            for c in (None, *self.condition_map)
+            for t in range(1, schedule.T + 1)
+        }
 
     def active_indices(self, condition) -> list[int]:
         if condition is None:
@@ -196,27 +216,38 @@ class AnalyticMixtureDenoiser(DenoiserModel):
             raise UnknownConditionError(f"unknown condition {condition!r}")
         return list(self.condition_map[condition])
 
-    def _moments(self, t: int, condition):
-        """Active weights (normalized), noised means, and per-component
-        marginal variances at step t."""
+    def _table(self, sched: NoiseSchedule, t: int, condition) -> _MixtureTable:
+        ab = sched.alpha_bar(t)
         idxs = self.active_indices(condition)
-        ab = self.schedule.alpha_bar(t)
         w = np.array([self.components[i].weight for i in idxs])
         w = w / w.sum()
-        means = np.sqrt(ab) * np.stack([self.components[i].mean for i in idxs])
         variances = np.array([ab * self.components[i].var + 1.0 - ab for i in idxs])
-        return w, means, variances
-
-    def _responsibilities(self, z, t: int, condition):
-        w, means, variances = self._moments(t, condition)
-        diff = z[..., None, :] - means  # (..., K, d)
-        dist2 = np.sum(diff * diff, axis=-1)  # (..., K)
-        log_post = (
-            np.log(w)
-            - 0.5 * self.dim * np.log(2.0 * np.pi * variances)
-            - 0.5 * dist2 / variances
+        return _MixtureTable(
+            means=np.sqrt(ab) * np.stack([self.components[i].mean for i in idxs]),
+            variances=variances,
+            log_norm=np.log(w) - 0.5 * self.dim * np.log(2.0 * np.pi * variances),
+            eps_scale=-np.sqrt(1.0 - ab),
         )
-        return softmax(log_post, axis=-1), diff, variances
+
+    def _responsibilities(self, z, t: int, condition, sched: NoiseSchedule | None = None):
+        """Posterior component weights of z at step t, z's offsets from
+        the noised means, and the table they came from.
+
+        Tables are read only for the schedule they were built from; any
+        other schedule (or a t or condition without a table, which then
+        raises) gets its constants computed afresh.
+        """
+        sched = self.schedule if sched is None else sched
+        table = self._tables.get((t, condition)) if sched is self._table_schedule else None
+        if table is None:
+            table = self._table(sched, t, condition)
+        diff = z[..., None, :] - table.means  # (..., K, d)
+        dist2 = np.sum(diff * diff, axis=-1)  # (..., K)
+        log_post = table.log_norm - 0.5 * dist2 / table.variances
+        # softmax over components: the max shift keeps exp finite far
+        # from every mode
+        e = np.exp(log_post - np.max(log_post, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True), diff, table
 
     def predict(self, z, t: int, condition=None) -> np.ndarray:
         return analytic_mixture_eps(self, z, t, condition, self.schedule)
@@ -228,42 +259,33 @@ class AnalyticMixtureDenoiser(DenoiserModel):
             raise DimensionError("jacobian is defined for a single latent")
         if t < 1:
             raise ScheduleError(f"noise prediction needs t >= 1, got {t}")
-        ab = self.schedule.alpha_bar(t)
-        resp, diff, variances = self._responsibilities(z, t, condition)
+        resp, diff, table = self._responsibilities(z, t, condition)
+        variances = table.variances
         comp_scores = -diff / variances[:, None]  # (K, d)
         mean_score = resp @ comp_scores
         # Hessian of log p_t: sum_k r_k (-I/V_k + g_k g_k^T) - g_bar g_bar^T
         hess = -np.sum(resp / variances) * np.eye(self.dim)
         hess += np.einsum("k,ki,kj->ij", resp, comp_scores, comp_scores)
         hess -= np.outer(mean_score, mean_score)
-        return -np.sqrt(1.0 - ab) * hess
+        return table.eps_scale * hess
 
 
 def analytic_mixture_eps(
     den: AnalyticMixtureDenoiser, z, t: int, condition, sched: NoiseSchedule
 ) -> np.ndarray:
-    """Exact eps for mixture data via log-sum-exp responsibilities."""
+    """Exact eps for mixture data via log-sum-exp responsibilities.
+
+    Any ``sched`` is honoured; only the schedule the denoiser was built
+    with reads the tables precomputed at construction.
+    """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != den.dim:
         raise DimensionError(f"latent dim {z.shape[-1]} != model dim {den.dim}")
     if t < 1:
         raise ScheduleError(f"noise prediction needs t >= 1, got {t}")
-    ab = sched.alpha_bar(t)
-    idxs = den.active_indices(condition)
-    w = np.array([den.components[i].weight for i in idxs])
-    w = w / w.sum()
-    means = np.sqrt(ab) * np.stack([den.components[i].mean for i in idxs])
-    variances = np.array([ab * den.components[i].var + 1.0 - ab for i in idxs])
-    diff = z[..., None, :] - means
-    dist2 = np.sum(diff * diff, axis=-1)
-    log_post = (
-        np.log(w)
-        - 0.5 * den.dim * np.log(2.0 * np.pi * variances)
-        - 0.5 * dist2 / variances
-    )
-    resp = softmax(log_post, axis=-1)
-    score = np.einsum("...k,...kd->...d", resp, -diff / variances[:, None])
-    return -np.sqrt(1.0 - ab) * score
+    resp, diff, table = den._responsibilities(z, t, condition, sched)
+    score = np.einsum("...k,...kd->...d", resp, -diff / table.variances[:, None])
+    return table.eps_scale * score
 
 
 @dataclass(frozen=True)

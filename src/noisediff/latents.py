@@ -9,7 +9,7 @@ parallel evaluation cannot perturb reproducibility.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -38,14 +38,20 @@ class RngStream:
 
     seed: int
     label: str = "main"
+    # first 16 bytes of sha256(label) as four little-endian words; hashed
+    # once here rather than on every draw
+    _label_words: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        digest = hashlib.sha256(self.label.encode("utf-8")).digest()
+        words = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+        object.__setattr__(self, "_label_words", words)
 
     def generator(self, *index: int) -> np.random.Generator:
         """Fresh generator for this (seed, label, index) address."""
         if any(i < 0 for i in index):
             raise ValueError("draw indices must be non-negative")
-        digest = hashlib.sha256(self.label.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-        entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *words, *index]
+        entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *self._label_words, *index]
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
     def normal(self, dim: int, *index: int) -> np.ndarray:

@@ -252,11 +252,13 @@ class _RunLog:
 
 
 def _initial_log(method, z, pipeline, scorer, record_latents):
+    """Score the start latent; also returns its ``(z0, sample)`` pair,
+    which the first gradient reuses."""
     t0 = time.perf_counter()
-    _, sample = pipeline.forward(z)
+    z0, sample = pipeline.forward(z)
     score = checked_score(scorer, sample)
     wall = (time.perf_counter() - t0) * 1e3
-    return _RunLog(method, z, sample, score, wall, record_latents), score
+    return _RunLog(method, z, sample, score, wall, record_latents), score, (z0, sample)
 
 
 def run_noise_diffusion(
@@ -269,7 +271,8 @@ def run_noise_diffusion(
     """Run the gradient-selected diffusion update for ``cfg.epochs`` epochs.
 
     Per epoch: step size from the current score, one gradient
-    evaluation, N fresh candidate noises drawn at index (epoch, i) from
+    evaluation (the approximate one reuses the forward that scored the
+    current latent), N fresh candidate noises drawn at index (epoch, i) from
     ``rng``, ratio-based selection, update, rescore, best-tracking. A
     degenerate candidate set is resampled once and then the epoch is
     recorded as skipped; a scorer outage aborts with the partial
@@ -277,7 +280,9 @@ def run_noise_diffusion(
     """
     z = as_latent(z_T, dim=pipeline.dim).copy()
     try:
-        log, score = _initial_log("noise-diffusion", z, pipeline, scorer, cfg.record_latents)
+        log, score, (z0, sample) = _initial_log(
+            "noise-diffusion", z, pipeline, scorer, cfg.record_latents
+        )
     except (ScorerUnavailableError, ScorerContractError) as exc:
         rec = TrajectoryRecord(method="noise-diffusion")
         rec.incomplete = True
@@ -291,6 +296,7 @@ def run_noise_diffusion(
             grad = latent_gradient(
                 z, pipeline, scorer, cfg.gradient_mode,
                 h=cfg.fd_step, coords=_fd_coords(cfg, z.size, rng, epoch),
+                forward=(z0, sample),
             )
             grad_norm = float(np.linalg.norm(grad))
 
@@ -322,7 +328,7 @@ def run_noise_diffusion(
             sigma = candidates[index]
             v = step_difference(z, gamma, sigma)
             z = apply_update(z, gamma, sigma)
-            _, sample = pipeline.forward(z)
+            z0, sample = pipeline.forward(z)
             score = checked_score(scorer, sample)
         except (ScorerUnavailableError, ScorerContractError) as exc:
             return log.fail(exc)
@@ -364,7 +370,9 @@ def run_baseline(
         raise ValueError("epochs must be >= 0")
     z = as_latent(z_T, dim=pipeline.dim).copy()
     try:
-        log, score = _initial_log(cfg.method, z, pipeline, scorer, cfg.record_latents)
+        log, score, (z0, sample) = _initial_log(
+            cfg.method, z, pipeline, scorer, cfg.record_latents
+        )
     except (ScorerUnavailableError, ScorerContractError) as exc:
         rec = TrajectoryRecord(method=cfg.method)
         rec.incomplete = True
@@ -384,7 +392,8 @@ def run_baseline(
         try:
             if cfg.method == "pgd":
                 grad = latent_gradient(
-                    z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step
+                    z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step,
+                    forward=(z0, sample),
                 )
                 grad_norm = float(np.linalg.norm(grad))
                 z_new = z + cfg.pgd_step * np.sign(grad)
@@ -393,7 +402,8 @@ def run_baseline(
                 z = z_new
             elif cfg.method == "mean-variance":
                 grad = latent_gradient(
-                    z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step
+                    z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step,
+                    forward=(z0, sample),
                 )
                 grad_norm = float(np.linalg.norm(grad))
                 scale = np.exp(mv_rho)
@@ -417,7 +427,7 @@ def run_baseline(
                 v_norm = float(np.linalg.norm(v))
                 z = apply_update(z, gamma, sigma)
 
-            _, sample = pipeline.forward(z)
+            z0, sample = pipeline.forward(z)
             score = checked_score(scorer, sample)
         except (ScorerUnavailableError, ScorerContractError) as exc:
             return log.fail(exc)

@@ -9,7 +9,9 @@ Three ways to differentiate the latent score s(z_T):
 
 * ``grad_latent_approx`` — one forward pass, treating the noise
   predictions as constants so the pipeline Jacobian collapses to
-  sqrt(1/alpha_bar_T) times the identity;
+  sqrt(1/alpha_bar_T) times the identity; given the ``(z0, sample)``
+  pair of z_T it runs no pass at all, which is how the optimizers call
+  it: each epoch's gradient reuses the forward that scored the latent;
 * ``grad_latent_fd`` — central finite differences through the whole
   pipeline, 2d passes, the exactness oracle;
 * ``grad_latent_chain`` — exact forward-accumulated Jacobian, available
@@ -203,15 +205,21 @@ def score_latent(z_T, pipeline: Pipeline, scorer: Scorer) -> float:
     return checked_score(scorer, sample)
 
 
-def grad_latent_approx(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
+def grad_latent_approx(
+    z_T, pipeline: Pipeline, scorer: Scorer, *, forward=None
+) -> np.ndarray:
     """One-pass gradient with the noise predictions frozen.
 
     Under that assumption the pipeline Jacobian is sqrt(1/alpha_bar_T)
     times the identity, so the latent gradient is that factor applied to
     the decoder adjoint of the scorer gradient. Exact for a constant
     denoiser; an approximation otherwise.
+
+    ``forward`` is the ``(z0, sample)`` pair ``pipeline.forward(z_T)``
+    returns, for a caller that already has it; no pipeline pass runs
+    then.
     """
-    z0, sample = pipeline.forward(z_T)
+    z0, sample = pipeline.forward(z_T) if forward is None else forward
     gs = scorer.gradient(sample)
     if gs is None:
         raise GradientUnavailableError(
@@ -295,11 +303,18 @@ def latent_gradient(
     mode: GradientMode = GradientMode.APPROX_CONSTANT_EPS,
     h: float | None = None,
     coords=None,
+    *,
+    forward=None,
 ) -> np.ndarray:
-    """Dispatch to the gradient evaluation selected by ``mode``."""
+    """Dispatch to the gradient evaluation selected by ``mode``.
+
+    ``forward``, the ``(z0, sample)`` pair of ``z_T``, spares the
+    approximate gradient its pipeline pass; finite differences and the
+    chain ignore it, since they must run the pipeline themselves.
+    """
     mode = GradientMode(mode)
     if mode is GradientMode.APPROX_CONSTANT_EPS:
-        return grad_latent_approx(z_T, pipeline, scorer)
+        return grad_latent_approx(z_T, pipeline, scorer, forward=forward)
     if mode is GradientMode.FINITE_DIFFERENCE:
         return grad_latent_fd(z_T, pipeline, scorer, h=h, coords=coords)
     return grad_latent_chain(z_T, pipeline, scorer)

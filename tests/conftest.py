@@ -89,3 +89,23 @@ def score_service():
     service = MockScoreService()
     yield service
     service.close()
+
+
+class CountingPipeline:
+    """Stands in for a Pipeline and counts its forward passes."""
+
+    def __init__(self, pipeline):
+        self.pipeline = pipeline
+        self.forwards = 0
+
+    def __getattr__(self, name):
+        return getattr(self.pipeline, name)
+
+    def forward(self, z_T):
+        self.forwards += 1
+        return self.pipeline.forward(z_T)
+
+
+@pytest.fixture
+def counting_pipeline():
+    return CountingPipeline

@@ -143,11 +143,31 @@ class TestBuilders:
             "scorer.type = remote\n"
             "scorer.remote.endpoint = http://127.0.0.1:1/score\n"
             "scorer.remote.timeout_ms = 250\n"
+            "scorer.remote.retries = 0\n"
             "scorer.prompt = a lion and a monkey\n"
         )
         scorer = ExperimentConfig.from_text(text).build_scorer()
         assert isinstance(scorer, RemoteScorer)
         assert scorer.timeout == 0.25
+        assert scorer.retries == 0
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("scorer.remote.retries = -1\n", "scorer.remote.retries"),
+            ("scorer.remote.timeout_ms = 0\n", "scorer.remote.timeout_ms"),
+            ("scorer.remote.timeout_ms = -250\n", "scorer.remote.timeout_ms"),
+            ("scorer.remote.timeout_ms = nan\n", "scorer.remote.timeout_ms"),
+            ("scorer.remote.timeout_ms = inf\n", "scorer.remote.timeout_ms"),
+        ],
+    )
+    def test_remote_limits_validated(self, extra, key):
+        text = "method = random-sampling\ndim = 8\n" + (
+            "scorer.type = remote\n"
+            "scorer.remote.endpoint = http://127.0.0.1:1/score\n"
+        )
+        with pytest.raises(ConfigError, match=f"line 5: {key}"):
+            ExperimentConfig.from_text(text + extra)
 
     def test_linear_decoder_sets_sample_dim(self):
         text = MINIMAL + "decoder.type = linear\ndecoder.linear.rows = 3\n"

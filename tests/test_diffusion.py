@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from noisediff.diffusion import (
     AnalyticMixtureDenoiser,
@@ -238,6 +239,99 @@ class TestAnalyticMixtureEps:
             AnalyticMixtureDenoiser(comp, sched, {"a": []})
         with pytest.raises(UnknownConditionError):
             AnalyticMixtureDenoiser(comp, sched, {"a": [5]})
+
+
+def _direct_mixture_eps(den, z, t, condition, sched):
+    """Mixture eps rebuilt from the components on every call: the
+    reference the tabulated path must match bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    ab = sched.alpha_bar(t)
+    idxs = den.active_indices(condition)
+    w = np.array([den.components[i].weight for i in idxs])
+    w = w / w.sum()
+    means = np.sqrt(ab) * np.stack([den.components[i].mean for i in idxs])
+    variances = np.array([ab * den.components[i].var + 1.0 - ab for i in idxs])
+    diff = z[..., None, :] - means
+    dist2 = np.sum(diff * diff, axis=-1)
+    log_post = (
+        np.log(w)
+        - 0.5 * den.dim * np.log(2.0 * np.pi * variances)
+        - 0.5 * dist2 / variances
+    )
+    resp = softmax(log_post, axis=-1)
+    score = np.einsum("...k,...kd->...d", resp, -diff / variances[:, None])
+    return -np.sqrt(1.0 - ab) * score
+
+
+class TestMixtureTables:
+    T = 12
+
+    def _denoiser(self):
+        sched = build_schedule(self.T)
+        gen = RngStream(12, "tables").generator()
+        comps = [
+            MixtureComponent(0.5, gen.standard_normal(5), 0.7),
+            MixtureComponent(0.3, gen.standard_normal(5) * 3.0, 1.9),
+            MixtureComponent(0.2, gen.standard_normal(5), 0.2),
+        ]
+        return AnalyticMixtureDenoiser(comps, sched, {"a": [0, 2], "b": [1]}), sched
+
+    def _latents(self):
+        gen = RngStream(13, "tables-z").generator()
+        # a batch that includes latents far from every mode
+        scale = np.array([[1.0], [1.0], [4.0], [30.0], [1e3], [0.0]])
+        return gen.standard_normal(5), gen.standard_normal((6, 5)) * scale
+
+    def test_every_step_and_condition_matches_direct_formula(self):
+        den, sched = self._denoiser()
+        for z in self._latents():
+            for t in range(1, self.T + 1):
+                for condition in (None, "a", "b"):
+                    expect = _direct_mixture_eps(den, z, t, condition, sched)
+                    np.testing.assert_array_equal(
+                        analytic_mixture_eps(den, z, t, condition, sched), expect
+                    )
+                    np.testing.assert_array_equal(den.predict(z, t, condition), expect)
+
+    def test_other_schedule_is_computed_afresh(self):
+        den, sched = self._denoiser()
+        other = build_schedule(2 * self.T, 1e-3, 0.05)
+        z1, zn = self._latents()
+        for t in (1, self.T, self.T + 1, 2 * self.T):  # past den's T too
+            for z in (z1, zn):
+                np.testing.assert_array_equal(
+                    analytic_mixture_eps(den, z, t, "a", other),
+                    _direct_mixture_eps(den, z, t, "a", other),
+                )
+        assert not np.array_equal(
+            analytic_mixture_eps(den, z1, 5, None, other), den.predict(z1, 5)
+        )
+        # an equal schedule that is another object gives the same result
+        np.testing.assert_array_equal(
+            analytic_mixture_eps(den, zn, 5, "b", build_schedule(self.T)),
+            den.predict(zn, 5, "b"),
+        )
+        # a denoiser given a new schedule does not read its old tables
+        den.schedule = other
+        np.testing.assert_array_equal(
+            den.predict(z1, 7), _direct_mixture_eps(den, z1, 7, None, other)
+        )
+
+    def test_mixture_cannot_change_under_its_tables(self):
+        den, _ = self._denoiser()
+        with pytest.raises(TypeError):
+            den.components[0] = den.components[1]
+        with pytest.raises(AttributeError):
+            den.condition_map["a"].append(1)
+
+    def test_steps_without_a_table_raise(self):
+        den, sched = self._denoiser()
+        with pytest.raises(ScheduleError):
+            den.predict(np.zeros(5), self.T + 1)
+        with pytest.raises(ScheduleError):
+            analytic_mixture_eps(den, np.zeros(5), 0, "a", sched)
+        with pytest.raises(UnknownConditionError):
+            analytic_mixture_eps(den, np.zeros(5), 3, "c", sched)
 
 
 class TestDenoisePipeline:

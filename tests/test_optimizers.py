@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noisediff import optimizers
 from noisediff.benchmarks import quadratic_benchmark
 from noisediff.diffusion import ConstantDenoiser, GuidanceConfig, NoiseSchedule, Pipeline
 from noisediff.errors import (
@@ -21,7 +22,7 @@ from noisediff.optimizers import (
     step_difference,
     step_size_gamma,
 )
-from noisediff.scoring import Scorer, score_latent
+from noisediff.scoring import GradientMode, Scorer, latent_gradient, score_latent
 
 
 def identity_pipeline(dim):
@@ -304,6 +305,55 @@ class TestRunBaseline:
             rec.validate()
             best = [row.best_score for row in rec.rows]
             assert all(b >= a for a, b in zip(best, best[1:]))
+
+
+class TestForwardPasses:
+    """The approximate gradient reuses the forward that scored the
+    latent, so a run makes one pass per epoch plus the initial one."""
+
+    EPOCHS = 6
+
+    def _run(self, method, pipe, scorer, mode=GradientMode.APPROX_CONSTANT_EPS):
+        z0 = sample_standard_normal(RngStream(3, "init"), pipe.dim)
+        if method == "noise-diffusion":
+            cfg = NoiseDiffusionConfig(epochs=self.EPOCHS, candidates=8, gradient_mode=mode)
+            return run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(3, "candidates"))
+        cfg = BaselineConfig(method=method, gradient_mode=mode)
+        return run_baseline(z0, pipe, scorer, cfg, self.EPOCHS, RngStream(3, method))
+
+    @pytest.mark.parametrize("method", ["noise-diffusion", "pgd", "mean-variance"])
+    def test_one_forward_per_epoch(self, method, counting_pipeline, monkeypatch):
+        pipe, scorer = quadratic_benchmark()
+        counted = counting_pipeline(pipe)
+        rec = self._run(method, counted, scorer)
+        assert counted.forwards == self.EPOCHS + 1
+        # reference: every gradient runs its own pass from the latent
+        monkeypatch.setattr(
+            optimizers, "latent_gradient",
+            lambda *args, forward=None, **kwargs: latent_gradient(*args, **kwargs),
+        )
+        ref = self._run(method, pipe, scorer)
+        assert [(r.score, r.grad_norm) for r in rec.rows] == [
+            (r.score, r.grad_norm) for r in ref.rows
+        ]
+        np.testing.assert_array_equal(rec.final_latent, ref.final_latent)
+
+    def test_skipped_epochs_keep_the_pair(self, counting_pipeline):
+        dim = 6
+        counted = counting_pipeline(identity_pipeline(dim))
+        z0 = sample_standard_normal(RngStream(0, "init"), dim)
+        rec = run_noise_diffusion(z0, counted, ConstantOneScorer(),
+                                  NoiseDiffusionConfig(epochs=5, candidates=4),
+                                  RngStream(0, "candidates"))
+        assert all(row.v_norm is None for row in rec.rows[1:])
+        assert counted.forwards == 1
+
+    def test_finite_differences_still_probe(self, counting_pipeline):
+        pipe, scorer = quadratic_benchmark()
+        counted = counting_pipeline(pipe)
+        self._run("noise-diffusion", counted, scorer, GradientMode.FINITE_DIFFERENCE)
+        # 2d probes per gradient, plus the rescore, plus the initial pass
+        assert counted.forwards == self.EPOCHS * (2 * pipe.dim + 1) + 1
 
 
 class TestTrajectoryRecord:

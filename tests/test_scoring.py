@@ -195,6 +195,37 @@ class TestGradLatentApprox:
             grad_latent_approx(np.zeros(4), identity_pipeline(4), GradientFreeScorer())
 
 
+class TestForwardReuse:
+    def test_passed_pair_gives_identical_gradient_without_a_pass(self, counting_pipeline):
+        pipe, sc = _mixture_setup()
+        gen = RngStream(11, "reuse").generator()
+        linear = Pipeline(pipe.model, pipe.guidance, pipe.schedule,
+                          LinearDecoder(gen.standard_normal((6, 6)) / 2.0))
+        for p in (pipe, linear):
+            for _ in range(3):
+                z = gen.standard_normal(6)
+                counted = counting_pipeline(p)
+                pair = p.forward(z)
+                expect = grad_latent_approx(z, p, sc)
+                np.testing.assert_array_equal(
+                    grad_latent_approx(z, counted, sc, forward=pair), expect
+                )
+                np.testing.assert_array_equal(
+                    latent_gradient(z, counted, sc, forward=pair), expect
+                )
+                assert counted.forwards == 0
+
+    def test_fd_and_chain_ignore_the_pair(self):
+        pipe, sc = _mixture_setup()
+        z = RngStream(13, "reuse-fd").normal(6)
+        wrong = (np.zeros(6), np.zeros(6))
+        for mode in (GradientMode.FINITE_DIFFERENCE, GradientMode.ANALYTIC_CHAIN):
+            np.testing.assert_array_equal(
+                latent_gradient(z, pipe, sc, mode, forward=wrong),
+                latent_gradient(z, pipe, sc, mode),
+            )
+
+
 class TestGradLatentFd:
     def test_affine_is_exact(self):
         c = np.array([0.01, -0.02, 0.03])
