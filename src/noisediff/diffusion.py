@@ -302,9 +302,13 @@ class GuidanceConfig:
 
 
 def cfg_predict(model: DenoiserModel, z, t: int, g: GuidanceConfig) -> np.ndarray:
-    """w * eps(z, t, C) + (1 - w) * eps(z, t, null)."""
+    """w * eps(z, t, C) + (1 - w) * eps(z, t, null); the model runs once
+    when the two conditions are the same."""
     eps_cond = model.predict(z, t, g.condition)
-    eps_null = model.predict(z, t, g.null_condition)
+    if g.null_condition == g.condition:
+        eps_null = eps_cond
+    else:
+        eps_null = model.predict(z, t, g.null_condition)
     return g.w * eps_cond + (1.0 - g.w) * eps_null
 
 

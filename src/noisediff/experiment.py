@@ -105,8 +105,12 @@ def read_trajectory_csv(path: str) -> dict[str, list[float]]:
 
 def run_single(config: ExperimentConfig, seed: int) -> TrajectoryRecord:
     """One optimizer run for one seed, with streams derived from the seed."""
-    pipeline = config.build_pipeline()
-    scorer = config.build_scorer()
+    return _run_seed(config, seed, config.build_pipeline(), config.build_scorer())
+
+
+def _run_seed(config: ExperimentConfig, seed: int, pipeline, scorer) -> TrajectoryRecord:
+    """``run_single`` on a pipeline and scorer already built from
+    ``config``; both are immutable, so seeds can share them."""
     z_init = sample_standard_normal(RngStream(seed, "init"), config.dim)
     if config.method == "noise-diffusion":
         return run_noise_diffusion(
@@ -162,8 +166,9 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     result = ExperimentResult(exit_code=EXIT_OK, output_dir=out_dir)
     summary_lines = [SUMMARY_HEADER]
     latent_rows: list[str] = []
+    pipeline, scorer = config.build_pipeline(), config.build_scorer()
     for seed in config.seeds:
-        record = run_single(config, seed)
+        record = _run_seed(config, seed, pipeline, scorer)
         result.records[seed] = record
         write_trajectory_csv(record, os.path.join(out_dir, f"trajectory_seed{seed}.csv"))
         summary_lines.append(_summary_row(seed, record, config.dim))

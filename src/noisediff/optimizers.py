@@ -185,15 +185,33 @@ def select_noise(
 ) -> tuple[int, float]:
     """Pick the candidate maximizing grad . v_i / ||v_i||^2.
 
-    Candidates whose step difference has squared norm below the guard are
-    skipped; ties break to the lowest index. Raises DegenerateStepError
-    if nothing survives (caller resamples).
+    ``candidates`` is an (N, d) array or a list of N d-vectors. All step
+    differences are formed in one broadcast; the two dot products stay
+    one BLAS call per row, so every ratio has the bits of the per-vector
+    formula. Candidates whose step difference has squared norm below the
+    guard are skipped, NaN ratios never win, and ties break to the lowest
+    index. Raises DegenerateStepError if nothing survives (caller
+    resamples).
     """
+    if len(candidates) == 0:
+        raise DegenerateStepError("no candidate noises to select from")
     grad = np.asarray(grad, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    try:
+        sigmas = np.asarray(candidates, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionError(f"candidates of unequal shapes: {exc}") from exc
+    if sigmas.shape[1:] != z.shape:
+        raise DimensionError(f"shape mismatch: {z.shape} vs {sigmas.shape[1:]}")
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidScoreError(f"gamma must be in [0, 1], got {gamma!r}")
+    # one (N, d) temporary, added to in place (IEEE addition commutes, so
+    # the bits are those of the per-vector formula)
+    steps = np.sqrt(gamma) * sigmas
+    steps += (np.sqrt(1.0 - gamma) - 1.0) * z
     best_index = -1
     best_ratio = -np.inf
-    for i, sigma in enumerate(candidates):
-        v = step_difference(z, gamma, sigma)
+    for i, v in enumerate(steps):
         vv = float(v @ v)
         if vv < v_norm_guard:
             continue
@@ -272,11 +290,12 @@ def run_noise_diffusion(
 
     Per epoch: step size from the current score, one gradient
     evaluation (the approximate one reuses the forward that scored the
-    current latent), N fresh candidate noises drawn at index (epoch, i) from
-    ``rng``, ratio-based selection, update, rescore, best-tracking. A
-    degenerate candidate set is resampled once and then the epoch is
-    recorded as skipped; a scorer outage aborts with the partial
-    trajectory flagged incomplete.
+    current latent), N fresh candidate noises drawn as one block at
+    index (epoch, i) from ``rng``, ratio-based selection, update,
+    rescore, best-tracking. A degenerate candidate set is resampled once
+    (i = N..2N-1) and then the epoch is recorded as skipped; a scorer
+    outage or contract violation aborts with the partial trajectory
+    flagged incomplete.
     """
     z = as_latent(z_T, dim=pipeline.dim).copy()
     try:
@@ -302,10 +321,10 @@ def run_noise_diffusion(
 
             selection = None
             for attempt in range(2):
-                candidates = [
-                    rng.normal(z.size, epoch, attempt * cfg.candidates + i)
-                    for i in range(cfg.candidates)
-                ]
+                first = attempt * cfg.candidates
+                candidates = rng.normal_block(
+                    z.size, epoch, rows=range(first, first + cfg.candidates)
+                )
                 try:
                     selection = select_noise(grad, z, gamma, candidates, cfg.v_norm_guard)
                     break

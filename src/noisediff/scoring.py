@@ -199,6 +199,19 @@ def checked_score(scorer: Scorer, sample) -> float:
     return s
 
 
+def _scorer_gradient(scorer: Scorer, sample):
+    """The scorer's analytic sample gradient; a missing one is
+    GradientUnavailableError and a non-finite one ScorerContractError."""
+    gs = scorer.gradient(sample)
+    if gs is None:
+        raise GradientUnavailableError(
+            "scorer exposes no analytic gradient; use finite differences"
+        )
+    if not np.all(np.isfinite(gs)):
+        raise ScorerContractError("scorer gradient has non-finite entries")
+    return gs
+
+
 def score_latent(z_T, pipeline: Pipeline, scorer: Scorer) -> float:
     """Score of the initial latent: denoise, decode, score. Deterministic."""
     _, sample = pipeline.forward(z_T)
@@ -220,12 +233,7 @@ def grad_latent_approx(
     then.
     """
     z0, sample = pipeline.forward(z_T) if forward is None else forward
-    gs = scorer.gradient(sample)
-    if gs is None:
-        raise GradientUnavailableError(
-            "scorer exposes no analytic gradient; use finite differences"
-        )
-    pulled = pipeline.decoder.adjoint(z0, gs)
+    pulled = pipeline.decoder.adjoint(z0, _scorer_gradient(scorer, sample))
     ab_T = pipeline.schedule.alpha_bar(pipeline.schedule.T)
     return np.sqrt(1.0 / ab_T) * pulled
 
@@ -288,12 +296,7 @@ def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
             "denoiser has no closed-form Jacobian; use finite differences"
         ) from exc
     sample = pipeline.decoder.decode(z)
-    gs = scorer.gradient(sample)
-    if gs is None:
-        raise GradientUnavailableError(
-            "scorer exposes no analytic gradient; use finite differences"
-        )
-    return jac.T @ pipeline.decoder.adjoint(z, gs)
+    return jac.T @ pipeline.decoder.adjoint(z, _scorer_gradient(scorer, sample))
 
 
 def latent_gradient(

@@ -12,9 +12,11 @@ from noisediff.experiment import (
     TRAJECTORY_HEADER,
     read_trajectory_csv,
     run_experiment,
+    run_single,
     run_sweep,
 )
 from noisediff.plotting import emit_plot
+from noisediff.scoring import Scorer
 
 
 def small_config(tmp_path, method="noise-diffusion", epochs=5, seeds="0,1", extra=""):
@@ -199,3 +201,67 @@ class TestFiveMethodPlot:
             assert method in svg
         # fixed score axis [0, 1]
         assert ">0<" in svg and ">1<" in svg
+
+
+class TestBuildOncePerRun:
+    def _count_builds(self, monkeypatch):
+        counts = {"build_pipeline": 0, "build_scorer": 0}
+        for name in counts:
+            original = getattr(ExperimentConfig, name)
+
+            def counted(self, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(ExperimentConfig, name, counted)
+        return counts
+
+    def test_one_build_for_all_seeds(self, tmp_path, monkeypatch):
+        config = ExperimentConfig.from_text(small_config(tmp_path, epochs=2, seeds="0,1,2")
+                                            .read_text())
+        counts = self._count_builds(monkeypatch)
+        result = run_experiment(config)
+        assert result.exit_code == 0
+        assert sorted(result.records) == [0, 1, 2]
+        assert counts == {"build_pipeline": 1, "build_scorer": 1}
+
+    def test_run_single_builds_its_own(self, tmp_path, monkeypatch):
+        config = ExperimentConfig.from_text(small_config(tmp_path, epochs=3, seeds="0,1")
+                                            .read_text())
+        shared = run_experiment(config).records
+        counts = self._count_builds(monkeypatch)
+        for seed in (0, 1):
+            alone = run_single(config, seed)
+            assert [(r.score, r.selected_ratio) for r in alone.rows] == [
+                (r.score, r.selected_ratio) for r in shared[seed].rows
+            ]
+        assert counts == {"build_pipeline": 2, "build_scorer": 2}
+
+
+class TestNonFiniteScorerGradient:
+    class _NaNGradient(Scorer):
+        def score(self, sample):
+            return 0.5
+
+        def gradient(self, sample):
+            return np.full(np.asarray(sample).shape, np.nan)
+
+    @pytest.mark.parametrize("mode", ["approx-constant-eps", "analytic-chain"])
+    def test_run_exits_3_incomplete(self, tmp_path, monkeypatch, mode):
+        cfg_path = small_config(tmp_path, epochs=3, seeds="0,1",
+                                extra=f"gradient.mode = {mode}\n")
+        build_scorer = ExperimentConfig.build_scorer
+
+        def nan_gradient_scorer(config):
+            build_scorer(config)  # reads the scorer keys, as validation needs
+            return self._NaNGradient()
+
+        monkeypatch.setattr(ExperimentConfig, "build_scorer", nan_gradient_scorer)
+        assert main(["run", str(cfg_path)]) == 3
+        status = (tmp_path / "out" / "status.txt").read_text().splitlines()
+        assert status[0] == "incomplete"
+        assert len(status) == 3
+        assert all("ScorerContractError" in line and "non-finite" in line
+                   for line in status[1:])
+        cols = read_trajectory_csv(str(tmp_path / "out" / "trajectory_seed0.csv"))
+        assert cols["epoch"] == [0.0]  # the first gradient already failed

@@ -415,3 +415,51 @@ def _mixture_pipeline():
     ]
     den = AnalyticMixtureDenoiser(comps, sched, {"c": [0]})
     return Pipeline(den, GuidanceConfig(w=2.0, condition="c"), sched), sched
+
+
+class _CountingModel:
+    """Forwards to a denoiser and counts its ``predict`` calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.predicts = 0
+
+    def predict(self, z, t, condition=None):
+        self.predicts += 1
+        return self.model.predict(z, t, condition)
+
+
+class TestCfgPredictSharedCondition:
+    def _model(self):
+        return TestCfgPredict()._model()
+
+    @pytest.mark.parametrize("condition", [None, "a"])
+    def test_one_evaluation_same_bits(self, condition):
+        inner = self._model()
+        model = _CountingModel(inner)
+        z = RngStream(21, "cfg-share").normal(8).reshape(4, 2)
+        g = GuidanceConfig(w=7.5, condition=condition, null_condition=condition)
+        for t in (1, 5, 10):
+            model.predicts = 0
+            got = cfg_predict(model, z, t, g)
+            assert model.predicts == 1
+            two_calls = g.w * inner.predict(z, t, condition) + (1.0 - g.w) * inner.predict(
+                z, t, condition
+            )
+            np.testing.assert_array_equal(got, two_calls)
+
+    def test_distinct_conditions_evaluate_twice(self):
+        model = _CountingModel(self._model())
+        cfg_predict(model, np.array([0.3, -0.7]), 5, GuidanceConfig(w=7.5, condition="a"))
+        assert model.predicts == 2
+
+    def test_unconditioned_pipeline_one_predict_per_step(self):
+        pipeline, sched = _mixture_pipeline()
+        model = _CountingModel(pipeline.model)
+        unconditioned = Pipeline(model, GuidanceConfig(w=2.0), sched)
+        z = RngStream(22, "cfg-share").normal(6)
+        z0, _ = unconditioned.forward(z)
+        assert model.predicts == sched.T
+        np.testing.assert_array_equal(
+            z0, Pipeline(pipeline.model, GuidanceConfig(w=2.0), sched).forward(z)[0]
+        )

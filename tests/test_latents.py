@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisediff.errors import DimensionError, InsufficientSampleError
 from noisediff.latents import (
@@ -153,3 +157,81 @@ class TestMixtureComposition:
             mixed = np.sqrt(1.0 - gamma) * z + np.sqrt(gamma) * sigma
             passes += ks_normality(mixed)[1] > 0.01
         assert passes >= 97
+
+
+def _reference_entropy(seed, label, index):
+    """The documented address: [seed mod 2^64, 4 little-endian words of
+    sha256(label), *index] as SeedSequence entropy."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return [seed & 0xFFFFFFFFFFFFFFFF, *words, *index]
+
+
+_SEEDS = st.integers(-(2**70), 2**70)
+_WORD_EDGES = st.sampled_from([0, 2**32 - 1, 2**32])
+_INDEX_VALUES = st.one_of(_WORD_EDGES, st.integers(0, 2**70))
+
+
+class TestSeedDerivation:
+    """RngStream derives PCG64 seed words itself; they must equal
+    NumPy's SeedSequence on the same entropy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, label=st.text(max_size=12),
+           index=st.lists(_INDEX_VALUES, max_size=3))
+    def test_address_words_equal_seed_sequence(self, seed, label, index):
+        expected = np.random.SeedSequence(
+            _reference_entropy(seed, label, index)
+        ).generate_state(4, np.uint64)
+        gen = RngStream(seed, label).generator(*index)
+        got = gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+        np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, label=st.text(max_size=12),
+           index=st.lists(_INDEX_VALUES, max_size=2),
+           rows=st.lists(_INDEX_VALUES, max_size=6))
+    def test_row_words_equal_seed_sequence(self, seed, label, index, rows):
+        got = RngStream(seed, label)._seed_words(tuple(index), rows)
+        assert got.shape == (len(rows), 4)
+        for row, words in zip(rows, got):
+            expected = np.random.SeedSequence(
+                _reference_entropy(seed, label, [*index, row])
+            ).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words, expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=_SEEDS, label=st.text(max_size=8), dim=st.integers(1, 40),
+           index=st.lists(_INDEX_VALUES, max_size=2),
+           rows=st.lists(_INDEX_VALUES, max_size=5))
+    def test_block_rows_equal_stacked_draws(self, seed, label, dim, index, rows):
+        stream = RngStream(seed, label)
+        block = stream.normal_block(dim, *index, rows=rows)
+        assert block.shape == (len(rows), dim)
+        for row, drawn in zip(rows, block):
+            assert drawn.tobytes() == stream.normal(dim, *index, row).tobytes()
+
+    def test_block_of_a_candidate_epoch(self):
+        stream = RngStream(41, "candidates")
+        block = stream.normal_block(1024, 7, rows=range(50, 100))
+        stacked = np.stack([stream.normal(1024, 7, k) for k in range(50, 100)])
+        assert block.tobytes() == stacked.tobytes()
+
+    def test_generator_matches_default_rng(self):
+        entropy = _reference_entropy(5, "decoder", [3, 2**32])
+        ours = RngStream(5, "decoder").generator(3, 2**32)
+        numpy_rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        assert ours.standard_normal(33).tobytes() == numpy_rng.standard_normal(33).tobytes()
+        assert ours.choice(100, 5, replace=False).tolist() == numpy_rng.choice(
+            100, 5, replace=False
+        ).tolist()
+
+    def test_block_validation(self):
+        stream = RngStream(0, "candidates")
+        with pytest.raises(DimensionError):
+            stream.normal_block(0, 1, rows=range(3))
+        with pytest.raises(ValueError):
+            stream.normal_block(4, 1, rows=[2, -1])
+        with pytest.raises(ValueError):
+            stream.normal_block(4, -1, rows=range(3))
+        assert stream.normal_block(4, 1, rows=[]).shape == (0, 4)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisediff import optimizers
 from noisediff.benchmarks import quadratic_benchmark
@@ -8,6 +10,7 @@ from noisediff.errors import (
     DegenerateStepError,
     DimensionError,
     InvalidScoreError,
+    ScorerContractError,
     ScorerUnavailableError,
 )
 from noisediff.latents import RngStream, sample_standard_normal
@@ -376,3 +379,165 @@ class TestTrajectoryRecord:
         rec.rows = [EpochRow(0, 0.5, 0.5), EpochRow(1, 0.4, 0.4)]
         with pytest.raises(ValueError):
             rec.validate()
+
+
+def _reference_select(grad, z, gamma, candidates, v_norm_guard=1e-12):
+    """The per-vector selection loop: one step difference and two dot
+    products per candidate, first strict maximum wins."""
+    best_index, best_ratio = -1, -np.inf
+    for i, sigma in enumerate(candidates):
+        v = step_difference(z, gamma, sigma)
+        vv = float(v @ v)
+        if vv < v_norm_guard:
+            continue
+        ratio = float(grad @ v) / vv
+        if ratio > best_ratio:
+            best_index, best_ratio = i, ratio
+    if best_index < 0:
+        raise DegenerateStepError("all candidate step differences were near zero")
+    return best_index, best_ratio
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e-9, float("nan")]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def _selection_problem(draw):
+    d = draw(st.integers(1, 6))
+    vec = st.lists(_ENTRIES, min_size=d, max_size=d).map(np.array)
+    grad = draw(vec)
+    z = draw(st.one_of(st.just(np.zeros(d)), vec))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "zero"]))
+        if kind == "duplicate" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
+        elif kind == "zero":
+            rows.append(np.zeros(d))
+        else:
+            rows.append(draw(vec))
+    gamma = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return grad, z, gamma, rows
+
+
+class TestSelectNoiseAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_selection_problem())
+    def test_array_and_list_equal_the_loop(self, problem):
+        grad, z, gamma, rows = problem
+        try:
+            expected = _reference_select(grad, z, gamma, rows)
+        except DegenerateStepError:
+            expected = None
+        for candidates in (rows, np.stack(rows)):
+            if expected is None:
+                with pytest.raises(DegenerateStepError):
+                    select_noise(grad, z, gamma, candidates)
+                continue
+            idx, ratio = select_noise(grad, z, gamma, candidates)
+            assert idx == expected[0]
+            assert ratio == expected[1]  # same bits, not merely close
+
+    def test_d1024_ratios_bit_identical(self):
+        stream = RngStream(9, "select")
+        z, grad = stream.normal(1024, 0), stream.normal(1024, 1)
+        block = stream.normal_block(1024, 2, rows=range(50))
+        assert select_noise(grad, z, 0.3, block) == _reference_select(grad, z, 0.3, list(block))
+
+    def test_nan_candidate_never_selected(self):
+        rows = [np.full(3, np.nan), np.ones(3), np.array([1.0, np.nan, 0.0])]
+        assert select_noise(np.ones(3), np.zeros(3), 0.5, np.stack(rows))[0] == 1
+        with pytest.raises(DegenerateStepError):
+            select_noise(np.ones(3), np.zeros(3), 0.5, [rows[0], rows[2]])
+
+    def test_guard_skips_small_rows(self):
+        block = np.array([[1e-8, 0.0], [-1.0, 0.0]])
+        idx, ratio = select_noise(np.array([1.0, 0.0]), np.zeros(2), 1.0, block)
+        assert (idx, ratio) == (1, -1.0)
+
+    def test_shape_and_gamma_validation(self):
+        with pytest.raises(DimensionError):
+            select_noise(np.ones(3), np.zeros(3), 0.5, np.zeros((4, 2)))
+        with pytest.raises(DimensionError):
+            select_noise(np.ones(3), np.zeros(3), 0.5, [np.zeros(3), np.zeros(2)])
+        with pytest.raises(DimensionError):
+            select_noise(np.ones(3), np.zeros(3), 0.5, np.zeros(3))
+        with pytest.raises(InvalidScoreError):
+            select_noise(np.ones(3), np.zeros(3), 1.5, np.ones((2, 3)))
+        with pytest.raises(DegenerateStepError):
+            select_noise(np.ones(3), np.zeros(3), 0.5, [])
+
+
+class TestBlockCandidates:
+    def test_one_block_per_attempt_same_trajectory(self, monkeypatch):
+        pipe, scorer = quadratic_benchmark()
+        z0 = sample_standard_normal(RngStream(4, "init"), 16)
+        cfg = NoiseDiffusionConfig(epochs=6, candidates=7)
+        block_run = run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(4, "candidates"))
+
+        calls = []
+
+        def stacked(self, dim, *index, rows):
+            calls.append((index, list(rows)))
+            return np.stack([self.normal(dim, *index, r) for r in rows])
+
+        monkeypatch.setattr(RngStream, "normal_block", stacked)
+        loop_run = run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(4, "candidates"))
+        assert calls == [((e,), list(range(7))) for e in range(1, 7)]
+        strip = lambda rec: [r.__dict__ | {"wall_ms": 0.0} for r in rec.rows]  # noqa: E731
+        assert strip(block_run) == strip(loop_run)
+        assert block_run.final_latent.tobytes() == loop_run.final_latent.tobytes()
+
+
+class NaNGradientScorer(Scorer):
+    """Scores fine; its analytic gradient is NaN after ``finite_for``
+    calls."""
+
+    def __init__(self, finite_for=0):
+        self.finite_for = finite_for
+
+    def score(self, sample):
+        return 0.5
+
+    def gradient(self, sample):
+        self.finite_for -= 1
+        fill = 0.01 if self.finite_for >= 0 else np.nan
+        return np.full(np.asarray(sample).shape, fill)
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize(
+        "mode", [GradientMode.APPROX_CONSTANT_EPS, GradientMode.ANALYTIC_CHAIN]
+    )
+    def test_gradient_raises_contract_error(self, mode):
+        pipe, _ = quadratic_benchmark()
+        with pytest.raises(ScorerContractError, match="non-finite"):
+            latent_gradient(np.zeros(16), pipe, NaNGradientScorer(), mode)
+
+    @pytest.mark.parametrize(
+        "mode", [GradientMode.APPROX_CONSTANT_EPS, GradientMode.ANALYTIC_CHAIN]
+    )
+    def test_run_ends_incomplete(self, mode):
+        pipe, _ = quadratic_benchmark()
+        z0 = sample_standard_normal(RngStream(0, "init"), 16)
+        rec = run_noise_diffusion(
+            z0, pipe, NaNGradientScorer(finite_for=2),
+            NoiseDiffusionConfig(epochs=6, candidates=4, gradient_mode=mode),
+            RngStream(0, "candidates"),
+        )
+        assert rec.incomplete
+        assert rec.failure.startswith("ScorerContractError")
+        assert len(rec.rows) == 3  # initial row and the two finite epochs
+
+    @pytest.mark.parametrize("method", ["pgd", "mean-variance"])
+    def test_gradient_baselines_end_incomplete(self, method):
+        pipe, _ = quadratic_benchmark()
+        rec = run_baseline(
+            np.zeros(16), pipe, NaNGradientScorer(), BaselineConfig(method=method), 4,
+            RngStream(0, f"baseline-{method}"),
+        )
+        assert rec.incomplete
+        assert rec.failure.startswith("ScorerContractError")
