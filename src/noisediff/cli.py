@@ -87,7 +87,7 @@ def _diagnose(paths) -> int:
         print(f"== {path}")
         if header == TRAJECTORY_HEADER:
             _diagnose_trajectory(path)
-        elif header.startswith("seed,z0,"):
+        elif header == "seed," + ",".join(f"z{i}" for i in range(header.count(","))):
             _diagnose_latents(path)
         elif header == SUMMARY_HEADER:
             _diagnose_summary(path)

@@ -94,6 +94,11 @@ class BaselineConfig:
             raise ValueError("pgd step must be >= 0 and radius > 0")
         if self.mv_learning_rate <= 0.0:
             raise ValueError("mean-variance learning rate must be positive")
+        # beta = 1 makes Adam's bias correction 0/0
+        if not (0.0 <= self.mv_beta1 < 1.0 and 0.0 <= self.mv_beta2 < 1.0):
+            raise ValueError("mean-variance betas must be in [0, 1)")
+        if not self.mv_epsilon > 0.0:
+            raise ValueError("mean-variance epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -224,59 +229,62 @@ def select_noise(
     return best_index, best_ratio
 
 
-class _RunLog:
-    """Shared bookkeeping: rows, strict best-tracking, optional latents."""
+def _optimize(method, z_T, pipeline, scorer, epochs, record_latents, step):
+    """The epoch loop every method shares.
 
-    def __init__(self, method, z, sample, score, wall_ms, record_latents):
-        self.record = TrajectoryRecord(
-            method=method,
-            best_score=score,
-            best_latent=z.copy(),
-            best_sample=np.array(sample, copy=True),
-            final_latent=z.copy(),
-            latents=[z.copy()] if record_latents else None,
-        )
-        self.record.rows.append(
-            EpochRow(epoch=0, score=score, best_score=score, wall_ms=wall_ms)
-        )
-
-    def log(self, epoch, z, sample, score, wall_ms, gamma=None, ratio=None,
-            grad_norm=None, v_norm=None):
-        rec = self.record
-        if score > rec.best_score:
-            rec.best_score = score
-            rec.best_latent = z.copy()
-            rec.best_sample = np.array(sample, copy=True)
-        rec.final_latent = z.copy()
-        if rec.latents is not None:
-            rec.latents.append(z.copy())
-        rec.rows.append(
-            EpochRow(
-                epoch=epoch,
-                score=score,
-                best_score=rec.best_score,
-                gamma=gamma,
-                selected_ratio=ratio,
-                grad_norm=grad_norm,
-                v_norm=v_norm,
-                wall_ms=wall_ms,
-            )
-        )
-
-    def fail(self, exc):
-        self.record.incomplete = True
-        self.record.failure = f"{type(exc).__name__}: {exc}"
-        return self.record
+    Epoch 0 scores the start latent. Each later epoch calls
+    ``step(epoch, z, score, (z0, sample))``, which returns the next latent
+    (None for a skipped epoch) and the epoch's gamma, selected ratio,
+    gradient norm and step norm; a moved latent is run forward and
+    rescored, a skipped epoch keeps the current ``(z0, sample)`` pair. A
+    scorer outage or contract violation ends the run with the partial
+    trajectory flagged incomplete.
+    """
+    z = as_latent(z_T, dim=pipeline.dim).copy()
+    rec = TrajectoryRecord(method=method, latents=[] if record_latents else None)
+    z_new, fields = z, (None, None, None, None)  # epoch 0 scores the start latent
+    try:
+        for epoch in range(epochs + 1):
+            t0 = time.perf_counter()
+            if epoch:
+                z_new, *fields = step(epoch, z, score, (z0, sample))
+            if z_new is not None:
+                z = z_new
+                z0, sample = pipeline.forward(z)
+                score = checked_score(scorer, sample)
+            wall = (time.perf_counter() - t0) * 1e3
+            if epoch == 0 or score > rec.best_score:
+                rec.best_score = score
+                rec.best_latent = z.copy()
+                rec.best_sample = np.array(sample, copy=True)
+            rec.final_latent = z.copy()
+            if record_latents:
+                rec.latents.append(z.copy())
+            rec.rows.append(EpochRow(epoch, score, rec.best_score, *fields, wall_ms=wall))
+    except (ScorerUnavailableError, ScorerContractError) as exc:
+        rec.incomplete = True
+        rec.failure = f"{type(exc).__name__}: {exc}"
+        return rec
+    return rec.validate()
 
 
-def _initial_log(method, z, pipeline, scorer, record_latents):
-    """Score the start latent; also returns its ``(z0, sample)`` pair,
-    which the first gradient reuses."""
-    t0 = time.perf_counter()
-    z0, sample = pipeline.forward(z)
-    score = checked_score(scorer, sample)
-    wall = (time.perf_counter() - t0) * 1e3
-    return _RunLog(method, z, sample, score, wall, record_latents), score, (z0, sample)
+def _gradient(z, pipeline, scorer, cfg, rng: RngStream, epoch, forward):
+    """``latent_gradient`` in ``cfg``'s mode, and its norm. With a probe
+    budget below the dimension, finite differences probe a seeded
+    coordinate subset drawn afresh each epoch."""
+    coords = None
+    if (
+        cfg.gradient_mode is GradientMode.FINITE_DIFFERENCE
+        and cfg.fd_budget is not None
+        and cfg.fd_budget < z.size
+    ):
+        gen = rng.fork("fd-coords").generator(epoch)
+        coords = np.sort(gen.choice(z.size, size=cfg.fd_budget, replace=False))
+    grad = latent_gradient(
+        z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step, coords=coords,
+        forward=forward,
+    )
+    return grad, float(np.linalg.norm(grad))
 
 
 def run_noise_diffusion(
@@ -297,76 +305,30 @@ def run_noise_diffusion(
     outage or contract violation aborts with the partial trajectory
     flagged incomplete.
     """
-    z = as_latent(z_T, dim=pipeline.dim).copy()
-    try:
-        log, score, (z0, sample) = _initial_log(
-            "noise-diffusion", z, pipeline, scorer, cfg.record_latents
-        )
-    except (ScorerUnavailableError, ScorerContractError) as exc:
-        rec = TrajectoryRecord(method="noise-diffusion")
-        rec.incomplete = True
-        rec.failure = f"{type(exc).__name__}: {exc}"
-        return rec
 
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        try:
-            gamma = step_size_gamma(score)
-            grad = latent_gradient(
-                z, pipeline, scorer, cfg.gradient_mode,
-                h=cfg.fd_step, coords=_fd_coords(cfg, z.size, rng, epoch),
-                forward=(z0, sample),
+    def step(epoch, z, score, forward):
+        gamma = step_size_gamma(score)
+        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, rng, epoch, forward)
+        for attempt in range(2):
+            first = attempt * cfg.candidates
+            candidates = rng.normal_block(
+                z.size, epoch, rows=range(first, first + cfg.candidates)
             )
-            grad_norm = float(np.linalg.norm(grad))
-
-            selection = None
-            for attempt in range(2):
-                first = attempt * cfg.candidates
-                candidates = rng.normal_block(
-                    z.size, epoch, rows=range(first, first + cfg.candidates)
-                )
-                try:
-                    selection = select_noise(grad, z, gamma, candidates, cfg.v_norm_guard)
-                    break
-                except DegenerateStepError:
-                    continue
-            if selection is None:
-                # both candidate batches degenerate: skip the epoch
-                wall = (time.perf_counter() - t0) * 1e3
-                log.log(epoch, z, log.record.best_sample, score, wall,
-                        gamma=gamma, grad_norm=grad_norm)
+            try:
+                index, ratio = select_noise(grad, z, gamma, candidates, cfg.v_norm_guard)
+            except DegenerateStepError:
                 continue
-
-            index, ratio = selection
             if cfg.strict_improvement and ratio < 0.0:
-                wall = (time.perf_counter() - t0) * 1e3
-                log.log(epoch, z, log.record.best_sample, score, wall,
-                        gamma=gamma, ratio=ratio, grad_norm=grad_norm)
-                continue
-
+                return None, gamma, ratio, grad_norm, None
             sigma = candidates[index]
             v = step_difference(z, gamma, sigma)
-            z = apply_update(z, gamma, sigma)
-            z0, sample = pipeline.forward(z)
-            score = checked_score(scorer, sample)
-        except (ScorerUnavailableError, ScorerContractError) as exc:
-            return log.fail(exc)
+            return apply_update(z, gamma, sigma), gamma, ratio, grad_norm, float(np.linalg.norm(v))
+        # both candidate batches degenerate: skip the epoch
+        return None, gamma, None, grad_norm, None
 
-        wall = (time.perf_counter() - t0) * 1e3
-        log.log(epoch, z, sample, score, wall, gamma=gamma, ratio=ratio,
-                grad_norm=grad_norm, v_norm=float(np.linalg.norm(v)))
-
-    return log.record.validate()
-
-
-def _fd_coords(cfg, dim, rng: RngStream, epoch: int):
-    """Seeded coordinate subset for budgeted finite differences."""
-    if cfg.gradient_mode is not GradientMode.FINITE_DIFFERENCE:
-        return None
-    if cfg.fd_budget is None or cfg.fd_budget >= dim:
-        return None
-    gen = rng.fork("fd-coords").generator(epoch)
-    return np.sort(gen.choice(dim, size=cfg.fd_budget, replace=False))
+    return _optimize(
+        "noise-diffusion", z_T, pipeline, scorer, cfg.epochs, cfg.record_latents, step
+    )
 
 
 def run_baseline(
@@ -387,72 +349,45 @@ def run_baseline(
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    z = as_latent(z_T, dim=pipeline.dim).copy()
-    try:
-        log, score, (z0, sample) = _initial_log(
-            cfg.method, z, pipeline, scorer, cfg.record_latents
-        )
-    except (ScorerUnavailableError, ScorerContractError) as exc:
-        rec = TrajectoryRecord(method=cfg.method)
-        rec.incomplete = True
-        rec.failure = f"{type(exc).__name__}: {exc}"
-        return rec
+    z_init = as_latent(z_T, dim=pipeline.dim)
 
-    z_init = z.copy()
-    # mean-variance state: ascent parameters and Adam moments
-    mv_mu = np.zeros_like(z)
-    mv_rho = np.zeros_like(z)
-    mv_m = np.zeros(2 * z.size)
-    mv_v = np.zeros(2 * z.size)
+    def pgd(epoch, z, score, forward):
+        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, rng, epoch, forward)
+        z_new = z + cfg.pgd_step * np.sign(grad)
+        z_new = np.clip(z_new, z_init - cfg.pgd_radius, z_init + cfg.pgd_radius)
+        return z_new, None, None, grad_norm, float(np.linalg.norm(z_new - z))
 
-    for epoch in range(1, epochs + 1):
-        t0 = time.perf_counter()
-        gamma = ratio = grad_norm = v_norm = None
-        try:
-            if cfg.method == "pgd":
-                grad = latent_gradient(
-                    z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step,
-                    forward=(z0, sample),
-                )
-                grad_norm = float(np.linalg.norm(grad))
-                z_new = z + cfg.pgd_step * np.sign(grad)
-                z_new = np.clip(z_new, z_init - cfg.pgd_radius, z_init + cfg.pgd_radius)
-                v_norm = float(np.linalg.norm(z_new - z))
-                z = z_new
-            elif cfg.method == "mean-variance":
-                grad = latent_gradient(
-                    z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step,
-                    forward=(z0, sample),
-                )
-                grad_norm = float(np.linalg.norm(grad))
-                scale = np.exp(mv_rho)
-                g = np.concatenate([grad, grad * scale * z_init])
-                mv_m = cfg.mv_beta1 * mv_m + (1.0 - cfg.mv_beta1) * g
-                mv_v = cfg.mv_beta2 * mv_v + (1.0 - cfg.mv_beta2) * g * g
-                m_hat = mv_m / (1.0 - cfg.mv_beta1**epoch)
-                v_hat = mv_v / (1.0 - cfg.mv_beta2**epoch)
-                step = cfg.mv_learning_rate * m_hat / (np.sqrt(v_hat) + cfg.mv_epsilon)
-                mv_mu += step[: z.size]
-                mv_rho += step[z.size :]
-                z_new = mv_mu + np.exp(mv_rho) * z_init
-                v_norm = float(np.linalg.norm(z_new - z))
-                z = z_new
-            elif cfg.method == "random-sampling":
-                z = rng.normal(z.size, epoch)
-            else:  # random-diffusion
-                gamma = step_size_gamma(score)
-                sigma = rng.normal(z.size, epoch)
-                v = step_difference(z, gamma, sigma)
-                v_norm = float(np.linalg.norm(v))
-                z = apply_update(z, gamma, sigma)
+    mu, rho = np.zeros_like(z_init), np.zeros_like(z_init)
+    m, v = np.zeros(2 * z_init.size), np.zeros(2 * z_init.size)  # Adam moments
 
-            z0, sample = pipeline.forward(z)
-            score = checked_score(scorer, sample)
-        except (ScorerUnavailableError, ScorerContractError) as exc:
-            return log.fail(exc)
+    def mean_variance(epoch, z, score, forward):
+        nonlocal mu, rho, m, v
+        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, rng, epoch, forward)
+        g = np.concatenate([grad, grad * np.exp(rho) * z_init])
+        m = cfg.mv_beta1 * m + (1.0 - cfg.mv_beta1) * g
+        v = cfg.mv_beta2 * v + (1.0 - cfg.mv_beta2) * g * g
+        m_hat = m / (1.0 - cfg.mv_beta1**epoch)
+        v_hat = v / (1.0 - cfg.mv_beta2**epoch)
+        update = cfg.mv_learning_rate * m_hat / (np.sqrt(v_hat) + cfg.mv_epsilon)
+        mu, rho = mu + update[: z.size], rho + update[z.size :]
+        z_new = mu + np.exp(rho) * z_init
+        return z_new, None, None, grad_norm, float(np.linalg.norm(z_new - z))
 
-        wall = (time.perf_counter() - t0) * 1e3
-        log.log(epoch, z, sample, score, wall, gamma=gamma, ratio=ratio,
-                grad_norm=grad_norm, v_norm=v_norm)
+    def random_sampling(epoch, z, score, forward):
+        return rng.normal(z.size, epoch), None, None, None, None
 
-    return log.record.validate()
+    def random_diffusion(epoch, z, score, forward):
+        gamma = step_size_gamma(score)
+        sigma = rng.normal(z.size, epoch)
+        v = step_difference(z, gamma, sigma)
+        return apply_update(z, gamma, sigma), gamma, None, None, float(np.linalg.norm(v))
+
+    steps = {
+        "pgd": pgd,
+        "mean-variance": mean_variance,
+        "random-sampling": random_sampling,
+        "random-diffusion": random_diffusion,
+    }
+    return _optimize(
+        cfg.method, z_init, pipeline, scorer, epochs, cfg.record_latents, steps[cfg.method]
+    )

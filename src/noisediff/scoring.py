@@ -273,7 +273,9 @@ def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
     """Exact gradient via forward accumulation of the DDIM Jacobian.
 
     Needs the denoiser's closed-form Jacobian and the scorer's analytic
-    gradient; cost is one pass plus T dense (d, d) matrix products.
+    gradient; cost is one pass plus T dense (d, d) matrix products. When
+    the condition and the null condition are the same, each step evaluates
+    one Jacobian, as ``cfg_predict`` evaluates one prediction.
     """
     z = np.asarray(z_T, dtype=np.float64)
     if z.ndim != 1:
@@ -283,9 +285,12 @@ def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
     try:
         for t in range(sched.T, 0, -1):
             eps = cfg_predict(pipeline.model, z, t, g)
-            j_eps = g.w * pipeline.model.predict_jacobian(z, t, g.condition) + (
-                1.0 - g.w
-            ) * pipeline.model.predict_jacobian(z, t, g.null_condition)
+            j_cond = pipeline.model.predict_jacobian(z, t, g.condition)
+            if g.null_condition == g.condition:
+                j_null = j_cond
+            else:
+                j_null = pipeline.model.predict_jacobian(z, t, g.null_condition)
+            j_eps = g.w * j_cond + (1.0 - g.w) * j_null
             ab_t, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
             scale = np.sqrt(ab_prev / ab_t)
             c_t = np.sqrt(1.0 - ab_prev) - scale * np.sqrt(1.0 - ab_t)

@@ -179,6 +179,18 @@ class TestDiagnose:
         assert "seed 0:" in text and "ks=" in text
         assert "median final best score" in text
 
+    def test_dim_one_latents(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(
+            f"method = noise-diffusion\ndim = 1\nepochs = 2\nseeds = 0\n"
+            f"output = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg_path)]) == 0
+        latents = tmp_path / "out" / "final_latents.csv"
+        assert latents.read_text().startswith("seed,z0\n")
+        assert main(["diagnose", str(latents)]) == 0
+        assert "seed 0: dim 1 too small for the KS test" in capsys.readouterr().out
+
     def test_unknown_schema_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")

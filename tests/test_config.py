@@ -205,6 +205,9 @@ class TestConstructionErrorsBecomeConfigErrors:
             "scorer.quadratic.sharpness = -1\n",
             "denoiser.component.0.weight = 0\n",
             "denoiser.condition.a = 5\n",
+            "mv.beta1 = 1\n",
+            "mv.beta2 = 1.0\n",
+            "mv.epsilon = 0\n",
         ],
     )
     def test_invalid_values(self, extra):

@@ -316,12 +316,14 @@ class TestForwardPasses:
 
     EPOCHS = 6
 
-    def _run(self, method, pipe, scorer, mode=GradientMode.APPROX_CONSTANT_EPS):
+    def _run(self, method, pipe, scorer, mode=GradientMode.APPROX_CONSTANT_EPS, **kwargs):
         z0 = sample_standard_normal(RngStream(3, "init"), pipe.dim)
         if method == "noise-diffusion":
-            cfg = NoiseDiffusionConfig(epochs=self.EPOCHS, candidates=8, gradient_mode=mode)
+            cfg = NoiseDiffusionConfig(
+                epochs=self.EPOCHS, candidates=8, gradient_mode=mode, **kwargs
+            )
             return run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(3, "candidates"))
-        cfg = BaselineConfig(method=method, gradient_mode=mode)
+        cfg = BaselineConfig(method=method, gradient_mode=mode, **kwargs)
         return run_baseline(z0, pipe, scorer, cfg, self.EPOCHS, RngStream(3, method))
 
     @pytest.mark.parametrize("method", ["noise-diffusion", "pgd", "mean-variance"])
@@ -357,6 +359,45 @@ class TestForwardPasses:
         self._run("noise-diffusion", counted, scorer, GradientMode.FINITE_DIFFERENCE)
         # 2d probes per gradient, plus the rescore, plus the initial pass
         assert counted.forwards == self.EPOCHS * (2 * pipe.dim + 1) + 1
+
+    @pytest.mark.parametrize("method", ["noise-diffusion", "pgd", "mean-variance"])
+    def test_finite_difference_budget(self, method, counting_pipeline):
+        pipe, scorer = quadratic_benchmark()
+        counted = counting_pipeline(pipe)
+        self._run(method, counted, scorer, GradientMode.FINITE_DIFFERENCE, fd_budget=2)
+        # two probes per budgeted coordinate, plus the rescore, plus the initial pass
+        assert counted.forwards == self.EPOCHS * (2 * 2 + 1) + 1
+
+
+_QUADRATIC = quadratic_benchmark()
+
+
+class TestSharedLoop:
+    """Properties every method's trajectory has, whatever its step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        method=st.sampled_from(("noise-diffusion",) + optimizers.BASELINE_METHODS),
+        seed=st.integers(0, 2**32 - 1),
+        epochs=st.integers(0, 6),
+    )
+    def test_rows_best_and_final_latent(self, method, seed, epochs):
+        pipe, scorer = _QUADRATIC
+        z0 = sample_standard_normal(RngStream(seed, "init"), pipe.dim)
+        if method == "noise-diffusion":
+            cfg = NoiseDiffusionConfig(epochs=epochs, candidates=8, record_latents=True)
+            rec = run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(seed, "candidates"))
+        else:
+            cfg = BaselineConfig(method=method, record_latents=True)
+            rec = run_baseline(z0, pipe, scorer, cfg, epochs, RngStream(seed, method))
+        assert [r.epoch for r in rec.rows] == list(range(epochs + 1))
+        scores = [r.score for r in rec.rows]
+        assert [r.best_score for r in rec.rows] == list(np.maximum.accumulate(scores))
+        assert rec.best_score == rec.rows[-1].best_score
+        assert scorer.score(rec.best_sample) == rec.best_score
+        assert score_latent(rec.best_latent, pipe, scorer) == rec.best_score
+        assert len(rec.latents) == epochs + 1
+        np.testing.assert_array_equal(rec.final_latent, rec.latents[-1])
 
 
 class TestTrajectoryRecord:

@@ -311,6 +311,21 @@ class TestGradLatentChain:
         with pytest.raises(GradientUnavailableError):
             grad_latent_chain(np.zeros(3), pipe, sc)
 
+    @pytest.mark.parametrize("condition", [None, "c"])
+    def test_shared_condition_one_jacobian_per_step(self, condition):
+        pipe, sc = _mixture_setup()
+        model = _AliasModel(pipe.model, condition)
+        z = RngStream(11, "chain-share").normal(6)
+        shared = Pipeline(model, GuidanceConfig(2.0, condition, condition), pipe.schedule)
+        got = grad_latent_chain(z, shared, sc)
+        assert model.jacobians == pipe.schedule.T
+        # the same condition under another name takes the two-Jacobian path
+        model.jacobians = 0
+        aliased = Pipeline(model, GuidanceConfig(2.0, condition, "alias"), pipe.schedule)
+        two_calls = grad_latent_chain(z, aliased, sc)
+        assert model.jacobians == 2 * pipe.schedule.T
+        np.testing.assert_array_equal(got, two_calls)
+
     def test_dispatch(self):
         pipe, sc = _mixture_setup()
         z = RngStream(9, "disp").normal(6)
@@ -337,6 +352,25 @@ class TestVqaQuestion:
     def test_empty_prompt(self):
         with pytest.raises(InvalidPromptError):
             format_vqa_question("")
+
+
+class _AliasModel:
+    """Forwards to a denoiser, reads the condition ``"alias"`` as
+    ``alias_of`` and counts ``predict_jacobian`` calls."""
+
+    def __init__(self, model, alias_of):
+        self.model, self.alias_of = model, alias_of
+        self.jacobians = 0
+
+    def _condition(self, condition):
+        return self.alias_of if condition == "alias" else condition
+
+    def predict(self, z, t, condition=None):
+        return self.model.predict(z, t, self._condition(condition))
+
+    def predict_jacobian(self, z, t, condition=None):
+        self.jacobians += 1
+        return self.model.predict_jacobian(z, t, self._condition(condition))
 
 
 def _mixture_setup():
