@@ -361,8 +361,10 @@ class LinearDecoder(Decoder):
             raise DimensionError("decoder offset shape mismatch")
 
     def decode(self, z0) -> np.ndarray:
+        # W @ column, one matrix-vector product per latent: a row of a
+        # batch gets the bits it gets alone (a batched z0 @ W^T does not)
         z0 = np.asarray(z0, dtype=np.float64)
-        return z0 @ self.weight.T + self.offset
+        return (self.weight @ z0[..., None])[..., 0] + self.offset
 
     def adjoint(self, z0, cotangent) -> np.ndarray:
         cotangent = np.asarray(cotangent, dtype=np.float64)

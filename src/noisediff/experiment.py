@@ -17,7 +17,7 @@ from .analysis import ratio_quartiles
 from .config import ExperimentConfig
 from .errors import ConfigError, InsufficientSampleError
 from .latents import RngStream, ks_normality, sample_standard_normal
-from .optimizers import TrajectoryRecord, run_baseline, run_noise_diffusion
+from .optimizers import TrajectoryRecord, run_baseline, run_lockstep, run_noise_diffusion
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -105,29 +105,18 @@ def read_trajectory_csv(path: str) -> dict[str, list[float]]:
 
 def run_single(config: ExperimentConfig, seed: int) -> TrajectoryRecord:
     """One optimizer run for one seed, with streams derived from the seed."""
-    return _run_seed(config, seed, config.build_pipeline(), config.build_scorer())
-
-
-def _run_seed(config: ExperimentConfig, seed: int, pipeline, scorer) -> TrajectoryRecord:
-    """``run_single`` on a pipeline and scorer already built from
-    ``config``; both are immutable, so seeds can share them."""
-    z_init = sample_standard_normal(RngStream(seed, "init"), config.dim)
+    z_init, rng = _seed_start(config, seed)
+    pipeline, scorer = config.build_pipeline(), config.build_scorer()
     if config.method == "noise-diffusion":
-        return run_noise_diffusion(
-            z_init,
-            pipeline,
-            scorer,
-            config.noise_diffusion_config(),
-            RngStream(seed, "candidates"),
-        )
-    return run_baseline(
-        z_init,
-        pipeline,
-        scorer,
-        config.baseline_config(),
-        config.epochs,
-        RngStream(seed, f"baseline-{config.method}"),
-    )
+        return run_noise_diffusion(z_init, pipeline, scorer, config.noise_diffusion_config(), rng)
+    return run_baseline(z_init, pipeline, scorer, config.baseline_config(), config.epochs, rng)
+
+
+def _seed_start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, RngStream]:
+    """A seed's start latent and the stream its optimizer draws from."""
+    z_init = sample_standard_normal(RngStream(seed, "init"), config.dim)
+    label = "candidates" if config.method == "noise-diffusion" else f"baseline-{config.method}"
+    return z_init, RngStream(seed, label)
 
 
 def _summary_row(seed: int, record: TrajectoryRecord, dim: int) -> str:
@@ -155,8 +144,12 @@ def _summary_row(seed: int, record: TrajectoryRecord, dim: int) -> str:
 def run_experiment(config: ExperimentConfig, output: str | None = None) -> ExperimentResult:
     """Run every configured seed and write all artifacts.
 
-    Exit code 0 on success; 3 when any seed aborted on a scorer failure,
-    with the partial artifacts written and flagged in status.txt.
+    The seeds advance in lockstep (``optimizers.run_lockstep``): one
+    pipeline and scorer built for the run, one batched forward per epoch
+    for every seed whose latent moved, and each seed's trajectory the one
+    ``run_single`` gives for it. Exit code 0 on success; 3 when any seed
+    aborted on a scorer failure, with the partial artifacts written and
+    flagged in status.txt (the other seeds run on).
     """
     out_dir = output if output is not None else config.output
     os.makedirs(out_dir, exist_ok=True)
@@ -166,9 +159,19 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     result = ExperimentResult(exit_code=EXIT_OK, output_dir=out_dir)
     summary_lines = [SUMMARY_HEADER]
     latent_rows: list[str] = []
-    pipeline, scorer = config.build_pipeline(), config.build_scorer()
-    for seed in config.seeds:
-        record = _run_seed(config, seed, pipeline, scorer)
+    cfg = (
+        config.noise_diffusion_config()
+        if config.method == "noise-diffusion"
+        else config.baseline_config()
+    )
+    records = run_lockstep(
+        [_seed_start(config, seed) for seed in config.seeds],
+        config.build_pipeline(),
+        config.build_scorer(),
+        cfg,
+        config.epochs,
+    )
+    for seed, record in zip(config.seeds, records):
         result.records[seed] = record
         write_trajectory_csv(record, os.path.join(out_dir, f"trajectory_seed{seed}.csv"))
         summary_lines.append(_summary_row(seed, record, config.dim))

@@ -15,6 +15,7 @@ random sigma.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "select_noise",
     "run_noise_diffusion",
     "run_baseline",
+    "run_lockstep",
     "BASELINE_METHODS",
 ]
 
@@ -65,6 +67,8 @@ class NoiseDiffusionConfig:
     record_latents: bool = False
 
     def __post_init__(self):
+        # a plain string would slip past the identity test on the mode
+        object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.candidates < 1:
@@ -88,6 +92,7 @@ class BaselineConfig:
     record_latents: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
         if self.method not in BASELINE_METHODS:
             raise ValueError(f"unknown baseline {self.method!r}")
         if self.pgd_step < 0.0 or self.pgd_radius <= 0.0:
@@ -229,43 +234,89 @@ def select_noise(
     return best_index, best_ratio
 
 
-def _optimize(method, z_T, pipeline, scorer, epochs, record_latents, step):
-    """The epoch loop every method shares.
+@dataclass
+class _Seed:
+    """One seed's place in the lockstep loop: its step, its current
+    latent with that latent's score and ``(z0, sample)`` pair, and the
+    trajectory so far."""
 
-    Epoch 0 scores the start latent. Each later epoch calls
-    ``step(epoch, z, score, (z0, sample))``, which returns the next latent
-    (None for a skipped epoch) and the epoch's gamma, selected ratio,
-    gradient norm and step norm; a moved latent is run forward and
-    rescored, a skipped epoch keeps the current ``(z0, sample)`` pair. A
-    scorer outage or contract violation ends the run with the partial
-    trajectory flagged incomplete.
+    step: Callable
+    z: np.ndarray
+    rec: TrajectoryRecord
+    score: float = float("nan")
+    forward: tuple | None = None
+    moved: np.ndarray | None = None  # this epoch's new latent, None if skipped
+    fields: tuple = (None, None, None, None)
+    wall_ms: float = 0.0
+
+    def guarded(self, fn, *args):
+        """``fn(*args)``, or None after a scorer outage or contract
+        violation, which ends this seed alone with its partial
+        trajectory flagged incomplete."""
+        try:
+            return fn(*args)
+        except (ScorerUnavailableError, ScorerContractError) as exc:
+            self.rec.incomplete = True
+            self.rec.failure = f"{type(exc).__name__}: {exc}"
+            return None
+
+
+def _optimize(method, runs, pipeline, scorer, epochs, record_latents):
+    """The epoch loop every method shares, stepping all of a run's seeds
+    in lockstep; ``runs`` holds one ``(z_T, step)`` per seed and the
+    records come back in the same order.
+
+    Epoch 0 scores each start latent. Each later epoch calls every live
+    seed's ``step(epoch, z, score, (z0, sample))``, which returns the next
+    latent (None for a skipped epoch) and the epoch's gamma, selected
+    ratio, gradient norm and step norm. The latents that moved go
+    through one batched ``pipeline.forward``, whose rows have the bits of
+    single forwards, and each is scored on its own; a skipped epoch keeps
+    the seed's current ``(z0, sample)`` pair. Steps, scores, best-tracking
+    and random streams stay per seed, so a seed's trajectory is the one
+    it has when run alone. A seed's ``wall_ms`` for an epoch is its own
+    step and score time plus its share of the batched forward (the
+    forward's time over the rows in it), so a run's ``wall_ms`` add up
+    to its loop time. A scorer outage or contract violation ends only
+    the seed it came from.
     """
-    z = as_latent(z_T, dim=pipeline.dim).copy()
-    rec = TrajectoryRecord(method=method, latents=[] if record_latents else None)
-    z_new, fields = z, (None, None, None, None)  # epoch 0 scores the start latent
-    try:
-        for epoch in range(epochs + 1):
+    seeds = []
+    for z_T, step in runs:
+        z = as_latent(z_T, dim=pipeline.dim).copy()
+        rec = TrajectoryRecord(method=method, latents=[] if record_latents else None)
+        seeds.append(_Seed(step, z, rec, moved=z))  # epoch 0 scores the start latent
+    live = seeds
+    for epoch in range(epochs + 1):
+        if epoch:
+            for s in live:
+                t0 = time.perf_counter()
+                out = s.guarded(s.step, epoch, s.z, s.score, s.forward)
+                s.wall_ms = (time.perf_counter() - t0) * 1e3
+                if out is not None:
+                    s.moved, *s.fields = out
+        moved = [s for s in live if not s.rec.incomplete and s.moved is not None]
+        if moved:
             t0 = time.perf_counter()
-            if epoch:
-                z_new, *fields = step(epoch, z, score, (z0, sample))
-            if z_new is not None:
-                z = z_new
-                z0, sample = pipeline.forward(z)
-                score = checked_score(scorer, sample)
-            wall = (time.perf_counter() - t0) * 1e3
-            if epoch == 0 or score > rec.best_score:
-                rec.best_score = score
-                rec.best_latent = z.copy()
-                rec.best_sample = np.array(sample, copy=True)
-            rec.final_latent = z.copy()
+            z0s, samples = pipeline.forward(np.stack([s.moved for s in moved]))
+            share = (time.perf_counter() - t0) * 1e3 / len(moved)
+            for s, z0, sample in zip(moved, z0s, samples):
+                t0 = time.perf_counter()
+                s.z, s.forward = s.moved, (z0, sample)
+                s.score = s.guarded(checked_score, scorer, sample)
+                s.wall_ms += share + (time.perf_counter() - t0) * 1e3
+        live = [s for s in live if not s.rec.incomplete]
+        for s in live:
+            rec = s.rec
+            if epoch == 0 or s.score > rec.best_score:
+                rec.best_score = s.score
+                rec.best_latent = s.z.copy()
+                rec.best_sample = np.array(s.forward[1], copy=True)
+            rec.final_latent = s.z.copy()
             if record_latents:
-                rec.latents.append(z.copy())
-            rec.rows.append(EpochRow(epoch, score, rec.best_score, *fields, wall_ms=wall))
-    except (ScorerUnavailableError, ScorerContractError) as exc:
-        rec.incomplete = True
-        rec.failure = f"{type(exc).__name__}: {exc}"
-        return rec
-    return rec.validate()
+                rec.latents.append(s.z.copy())
+            rec.rows.append(EpochRow(epoch, s.score, rec.best_score, *s.fields,
+                                     wall_ms=s.wall_ms))
+    return [s.rec if s.rec.incomplete else s.rec.validate() for s in seeds]
 
 
 def _gradient(z, pipeline, scorer, cfg, rng: RngStream, epoch, forward):
@@ -287,24 +338,8 @@ def _gradient(z, pipeline, scorer, cfg, rng: RngStream, epoch, forward):
     return grad, float(np.linalg.norm(grad))
 
 
-def run_noise_diffusion(
-    z_T,
-    pipeline: Pipeline,
-    scorer: Scorer,
-    cfg: NoiseDiffusionConfig,
-    rng: RngStream,
-) -> TrajectoryRecord:
-    """Run the gradient-selected diffusion update for ``cfg.epochs`` epochs.
-
-    Per epoch: step size from the current score, one gradient
-    evaluation (the approximate one reuses the forward that scored the
-    current latent), N fresh candidate noises drawn as one block at
-    index (epoch, i) from ``rng``, ratio-based selection, update,
-    rescore, best-tracking. A degenerate candidate set is resampled once
-    (i = N..2N-1) and then the epoch is recorded as skipped; a scorer
-    outage or contract violation aborts with the partial trajectory
-    flagged incomplete.
-    """
+def _noise_diffusion_step(z_T, pipeline, scorer, cfg: NoiseDiffusionConfig, rng: RngStream):
+    """One seed's noise-diffusion step (the start latent is not needed)."""
 
     def step(epoch, z, score, forward):
         gamma = step_size_gamma(score)
@@ -326,29 +361,13 @@ def run_noise_diffusion(
         # both candidate batches degenerate: skip the epoch
         return None, gamma, None, grad_norm, None
 
-    return _optimize(
-        "noise-diffusion", z_T, pipeline, scorer, cfg.epochs, cfg.record_latents, step
-    )
+    return step
 
 
-def run_baseline(
-    z_T,
-    pipeline: Pipeline,
-    scorer: Scorer,
-    cfg: BaselineConfig,
-    epochs: int,
-    rng: RngStream,
-) -> TrajectoryRecord:
-    """Run one comparison method for ``epochs`` epochs.
-
-    pgd: sign-gradient ascent projected onto the l_inf ball around the
-    start; mean-variance: Adam ascent on (mu, log-scale) of
-    mu + exp(rho) * initial draw; random-sampling: fresh standard-normal
-    latent each epoch; random-diffusion: the diffusion update with
-    score-driven step size but an unselected random noise.
-    """
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
+def _baseline_step(z_T, pipeline, scorer, cfg: BaselineConfig, rng: RngStream):
+    """One seed's step of ``cfg.method``; pgd and mean-variance work
+    relative to the start latent, and mean-variance keeps its Adam state
+    in the closure."""
     z_init = as_latent(z_T, dim=pipeline.dim)
 
     def pgd(epoch, z, score, forward):
@@ -388,6 +407,68 @@ def run_baseline(
         "random-sampling": random_sampling,
         "random-diffusion": random_diffusion,
     }
-    return _optimize(
-        cfg.method, z_init, pipeline, scorer, epochs, cfg.record_latents, steps[cfg.method]
-    )
+    return steps[cfg.method]
+
+
+def run_lockstep(
+    starts,
+    pipeline: Pipeline,
+    scorer: Scorer,
+    cfg: NoiseDiffusionConfig | BaselineConfig,
+    epochs: int,
+) -> list[TrajectoryRecord]:
+    """Run ``cfg``'s method from every ``(z_T, rng)`` start for ``epochs``
+    epochs, all seeds in lockstep through one batched forward per epoch.
+
+    Each seed gets its own step (and, for mean-variance, its own Adam
+    state), so record k is the one ``run_noise_diffusion`` or
+    ``run_baseline`` returns for start k alone.
+    """
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if isinstance(cfg, NoiseDiffusionConfig):
+        method, make_step = "noise-diffusion", _noise_diffusion_step
+    else:
+        method, make_step = cfg.method, _baseline_step
+    runs = [(z_T, make_step(z_T, pipeline, scorer, cfg, rng)) for z_T, rng in starts]
+    return _optimize(method, runs, pipeline, scorer, epochs, cfg.record_latents)
+
+
+def run_noise_diffusion(
+    z_T,
+    pipeline: Pipeline,
+    scorer: Scorer,
+    cfg: NoiseDiffusionConfig,
+    rng: RngStream,
+) -> TrajectoryRecord:
+    """Run the gradient-selected diffusion update for ``cfg.epochs`` epochs.
+
+    Per epoch: step size from the current score, one gradient
+    evaluation (the approximate one reuses the forward that scored the
+    current latent), N fresh candidate noises drawn as one block at
+    index (epoch, i) from ``rng``, ratio-based selection, update,
+    rescore, best-tracking. A degenerate candidate set is resampled once
+    (i = N..2N-1) and then the epoch is recorded as skipped; a scorer
+    outage or contract violation aborts with the partial trajectory
+    flagged incomplete.
+    """
+    return run_lockstep([(z_T, rng)], pipeline, scorer, cfg, cfg.epochs)[0]
+
+
+def run_baseline(
+    z_T,
+    pipeline: Pipeline,
+    scorer: Scorer,
+    cfg: BaselineConfig,
+    epochs: int,
+    rng: RngStream,
+) -> TrajectoryRecord:
+    """Run one comparison method for ``epochs`` epochs.
+
+    pgd: sign-gradient ascent projected onto the l_inf ball around the
+    start; mean-variance: Adam ascent on (mu, log-scale) of
+    mu + exp(rho) * initial draw; random-sampling: fresh standard-normal
+    latent each epoch; random-diffusion: the diffusion update with
+    score-driven step size but an unselected random noise.
+    """
+    return run_lockstep([(z_T, rng)], pipeline, scorer, cfg, epochs)[0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import softmax
 
 from noisediff.diffusion import (
@@ -463,3 +465,57 @@ class TestCfgPredictSharedCondition:
         np.testing.assert_array_equal(
             z0, Pipeline(pipeline.model, GuidanceConfig(w=2.0), sched).forward(z)[0]
         )
+
+
+_BATCH_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestBatchedForwardRows:
+    """Every row of a batched ``Pipeline.forward`` has the bits of the
+    forward of that row alone; the optimizers forward all of a run's
+    seeds as one batch and rely on this."""
+
+    @staticmethod
+    def _pipeline(seed, dim, timesteps, denoiser, components, rows):
+        gen = RngStream(seed, "batched-forward").generator()
+        sched = build_schedule(timesteps)
+        if denoiser == "constant":
+            model = ConstantDenoiser(gen.standard_normal(dim))
+            guidance = GuidanceConfig(w=float(gen.uniform(-2.0, 8.0)))
+        else:
+            comps = [
+                MixtureComponent(float(gen.uniform(0.1, 1.0)), gen.standard_normal(dim),
+                                 float(gen.uniform(0.2, 3.0)))
+                for _ in range(components)
+            ]
+            model = AnalyticMixtureDenoiser(comps, sched, {"c": [0]})
+            # the condition differs from the null condition: two passes per step
+            guidance = GuidanceConfig(w=float(gen.uniform(-2.0, 8.0)), condition="c")
+        decoder = (
+            IdentityDecoder()
+            if rows == 0
+            else LinearDecoder(gen.standard_normal((rows, dim)), gen.standard_normal(rows))
+        )
+        return Pipeline(model, guidance, sched, decoder), gen
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=_BATCH_SEEDS,
+        batch=st.integers(min_value=1, max_value=8),
+        dim=st.integers(min_value=1, max_value=64),
+        timesteps=st.integers(min_value=1, max_value=12),
+        denoiser=st.sampled_from(["mixture", "constant"]),
+        components=st.integers(min_value=1, max_value=4),
+        rows=st.integers(min_value=0, max_value=12),
+    )
+    def test_rows_equal_single_forwards(
+        self, seed, batch, dim, timesteps, denoiser, components, rows
+    ):
+        pipeline, gen = self._pipeline(seed, dim, timesteps, denoiser, components, rows)
+        latents = gen.standard_normal((batch, dim))
+        z0s, samples = pipeline.forward(latents)
+        assert z0s.shape == (batch, dim)
+        for k in range(batch):
+            z0, sample = pipeline.forward(latents[k].copy())
+            np.testing.assert_array_equal(z0s[k], z0)
+            np.testing.assert_array_equal(samples[k], sample)

@@ -582,3 +582,29 @@ class TestNonFiniteGradient:
         )
         assert rec.incomplete
         assert rec.failure.startswith("ScorerContractError")
+
+
+class TestGradientModeSpelling:
+    """A config takes the mode as the enum or as its string value, and
+    both spellings honour the finite-difference probe budget."""
+
+    @pytest.mark.parametrize("mode", ["finite-difference", GradientMode.FINITE_DIFFERENCE])
+    @pytest.mark.parametrize("method", ["noise-diffusion", "pgd", "mean-variance"])
+    def test_string_and_enum_honour_the_budget(self, method, mode, counting_pipeline):
+        pipe, scorer = quadratic_benchmark()
+        counted = counting_pipeline(pipe)
+        runs = TestForwardPasses()
+        runs._run(method, counted, scorer, mode, fd_budget=2)
+        assert counted.forwards == runs.EPOCHS * (2 * 2 + 1) + 1
+
+    def test_string_is_coerced_and_unknown_rejected(self):
+        assert NoiseDiffusionConfig(gradient_mode="analytic-chain").gradient_mode is (
+            GradientMode.ANALYTIC_CHAIN
+        )
+        assert BaselineConfig(method="pgd", gradient_mode="finite-difference").gradient_mode is (
+            GradientMode.FINITE_DIFFERENCE
+        )
+        with pytest.raises(ValueError):
+            NoiseDiffusionConfig(gradient_mode="newton")
+        with pytest.raises(ValueError):
+            BaselineConfig(method="pgd", gradient_mode="newton")
