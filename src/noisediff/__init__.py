@@ -34,7 +34,6 @@ from .diffusion import (
     build_schedule,
     cfg_predict,
     ddim_step,
-    denoise_pipeline,
     forward_diffuse,
 )
 from .errors import (

@@ -1,6 +1,6 @@
 """Experiment configuration: a flat ``key = value`` text format with
-dotted keys, plus builders that turn a parsed config into pipeline,
-scorer, and optimizer objects.
+dotted keys, parsed and built once into a frozen ``ExperimentConfig``
+that carries its pipeline, scorer, and optimizer settings.
 
 Unknown keys, bad values, and inconsistent sections raise ConfigError
 with the offending line number where one exists. ``resolved_text``
@@ -10,9 +10,10 @@ writes next to its CSVs.
 
 from __future__ import annotations
 
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,11 +24,10 @@ from .diffusion import (
     IdentityDecoder,
     LinearDecoder,
     MixtureComponent,
-    NoiseSchedule,
     Pipeline,
     build_schedule,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ScheduleError
 from .latents import RngStream
 from .optimizers import (
     BASELINE_METHODS,
@@ -39,6 +39,7 @@ from .scoring import (
     GradientMode,
     QuadraticSigmoidScorer,
     RemoteScorer,
+    Scorer,
     TargetGroup,
 )
 
@@ -105,9 +106,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, tuple[st
     return entries
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment description plus the fully resolved flat map."""
+    """Validated experiment description, the fully resolved flat map, and
+    the pipeline, scorer and optimizer settings built from it once, at
+    parse time; every seed of a run uses these same objects."""
 
     method: str
     dim: int
@@ -118,66 +121,56 @@ class ExperimentConfig:
     output: str
     resolved: dict[str, str] = field(default_factory=dict)
     source: str = "<config>"
+    pipeline: Pipeline | None = None
+    scorer: Scorer | None = None
+    optimizer: NoiseDiffusionConfig | BaselineConfig | None = None
+    _reader: _Reader | None = field(default=None, repr=False)
 
     # ---- construction -------------------------------------------------
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
-        entries = parse_config_text(text, source)
-        return cls._build(entries, source)
-
-    @classmethod
-    def _build(cls, entries, source):
-        reader = _Reader(entries, source)
-        method = reader.choice("method", METHODS)
-        dim = reader.int("dim", minimum=1)
-        epochs = reader.int("epochs", minimum=0)
-        candidates = reader.int("candidates", minimum=1)
-        timesteps = reader.int("timesteps", minimum=1)
-        seeds = cls._resolve_seeds(reader)
-        output = reader.str("output")
-
+        reader = _Reader(parse_config_text(text, source), source)
         cfg = cls(
-            method=method,
-            dim=dim,
-            epochs=epochs,
-            candidates=candidates,
-            timesteps=timesteps,
-            seeds=seeds,
-            output=output,
+            method=reader.choice("method", METHODS),
+            dim=reader.int("dim", minimum=1),
+            epochs=reader.int("epochs", minimum=0),
+            candidates=reader.int("candidates", minimum=1),
+            timesteps=reader.int("timesteps", minimum=1),
+            seeds=cls._resolve_seeds(reader),
+            output=reader.str("output"),
             source=source,
+            _reader=reader,
         )
-        cfg._reader = reader
-        # touch every supported key so unknown ones can be rejected and the
-        # resolved map is complete
+        # builds read every supported key, once, so unknown ones can be
+        # rejected and the resolved map is complete
         try:
-            cfg.build_pipeline()
-            scorer = cfg.build_scorer()
-            cfg.noise_diffusion_config()
-            cfg.baseline_config()
+            cfg = replace(cfg, pipeline=cfg.build_pipeline())
+            cfg = replace(cfg, scorer=cfg.build_scorer(), optimizer=cfg._build_optimizer())
         except ConfigError:
             raise
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{source}: {exc}")
-        gradient_methods = ("noise-diffusion", "pgd", "mean-variance")
         if (
-            method in gradient_methods
-            and isinstance(scorer, RemoteScorer)
-            and cfg.gradient_mode() is not GradientMode.FINITE_DIFFERENCE
+            cfg.method in ("noise-diffusion", "pgd", "mean-variance")
+            and isinstance(cfg.scorer, RemoteScorer)
+            and cfg.optimizer.gradient_mode is not GradientMode.FINITE_DIFFERENCE
         ):
             raise ConfigError(
                 f"{source}: remote scorers expose no analytic gradient; "
                 f"set gradient.mode = finite-difference or use a score-only method"
             )
         reader.reject_unknown()
-        cfg.resolved = reader.resolved()
-        cfg.resolved["seeds"] = ",".join(str(s) for s in seeds)
-        cfg.resolved.pop("seeds.count", None)
-        return cfg
+        resolved = dict(reader.used)
+        resolved["seeds"] = ",".join(str(s) for s in cfg.seeds)
+        resolved.pop("seeds.count", None)
+        return replace(cfg, resolved=resolved)
 
     @staticmethod
     def _resolve_seeds(reader) -> list[int]:
-        explicit = reader.int_list("seeds", DEFAULTS["seeds"])
+        explicit = reader.int_list("seeds")
+        if len(set(explicit)) < len(explicit):
+            raise reader.error("seeds", f"each seed may appear once, got {explicit}")
         count = reader.opt_int("seeds.count", minimum=1)
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
@@ -191,24 +184,16 @@ class ExperimentConfig:
 
     # ---- builders ------------------------------------------------------
 
-    def build_schedule(self) -> NoiseSchedule:
-        r = self._reader
-        try:
-            return build_schedule(
-                self.timesteps,
-                r.float("schedule.beta_start", DEFAULTS["schedule.beta_start"]),
-                r.float("schedule.beta_end", DEFAULTS["schedule.beta_end"]),
-            )
-        except Exception as exc:
-            raise r.error("schedule.beta_start", str(exc))
-
     def build_pipeline(self) -> Pipeline:
         r = self._reader
-        schedule = self.build_schedule()
-        den_type = r.choice("denoiser.type", ("mixture", "constant"), DEFAULTS["denoiser.type"])
-        if den_type == "constant":
-            value = r.vector("denoiser.constant.value", self.dim, "0.0")
-            model = ConstantDenoiser(value)
+        beta_start = r.float("schedule.beta_start")
+        beta_end = r.float("schedule.beta_end")
+        try:
+            schedule = build_schedule(self.timesteps, beta_start, beta_end)
+        except ScheduleError as exc:
+            raise r.error("schedule.beta_start", str(exc))
+        if r.choice("denoiser.type", ("mixture", "constant")) == "constant":
+            model = ConstantDenoiser(r.vector("denoiser.constant.value", self.dim, "0.0"))
         else:
             indices = sorted(
                 {
@@ -227,7 +212,7 @@ class ExperimentConfig:
                 components.append(
                     MixtureComponent(
                         weight=r.float(f"{prefix}.weight", "1.0"),
-                        mean=self._config_vector(f"{prefix}.mean", f"{prefix}.mean_seed"),
+                        mean=self._vector(f"{prefix}.mean", self.dim),
                         var=r.float(f"{prefix}.var", "1.0"),
                     )
                 )
@@ -243,50 +228,36 @@ class ExperimentConfig:
             raise r.error("dim", f"denoiser dim {model.dim} != configured dim {self.dim}")
 
         guidance = GuidanceConfig(
-            w=r.float("guidance.scale", DEFAULTS["guidance.scale"]),
-            condition=r.str("guidance.condition", "") or None,
-            null_condition=r.str("guidance.null_condition", "") or None,
+            w=r.float("guidance.scale"),
+            condition=r.str("guidance.condition") or None,
+            null_condition=r.str("guidance.null_condition") or None,
         )
 
-        dec_type = r.choice("decoder.type", ("identity", "linear"), DEFAULTS["decoder.type"])
-        if dec_type == "identity":
+        if r.choice("decoder.type", ("identity", "linear")) == "identity":
             decoder = IdentityDecoder()
         else:
             rows = r.int("decoder.linear.rows", minimum=1)
-            seed = r.int("decoder.linear.seed", default=0)
-            gen = RngStream(seed, "decoder").generator()
-            weight = gen.standard_normal((rows, self.dim)) / np.sqrt(self.dim)
-            decoder = LinearDecoder(weight)
+            gen = RngStream(r.int("decoder.linear.seed", default=0), "decoder").generator()
+            decoder = LinearDecoder(gen.standard_normal((rows, self.dim)) / np.sqrt(self.dim))
         return Pipeline(model, guidance, schedule, decoder)
 
-    def _config_vector(self, key, seed_key):
-        """A d-vector from an explicit list, a broadcast scalar, or a
-        seeded standard-normal draw."""
+    def _vector(self, key, length):
+        """A vector from an explicit list, a broadcast scalar, or a
+        standard-normal draw seeded by ``<key>_seed``."""
         r = self._reader
-        if r.has(seed_key):
-            seed = r.int(seed_key)
-            return RngStream(seed, key).normal(self.dim)
-        return r.vector(key, self.dim, "0.0")
+        if r.has(f"{key}_seed"):
+            return RngStream(r.int(f"{key}_seed"), key).normal(length)
+        return r.vector(key, length, "0.0")
 
-    def sample_dim(self) -> int:
+    def build_scorer(self) -> Scorer:
+        """The configured scorer, over samples of the pipeline's decoder."""
         r = self._reader
-        if r.choice("decoder.type", ("identity", "linear"), DEFAULTS["decoder.type"]) == "linear":
-            return r.int("decoder.linear.rows", minimum=1)
-        return self.dim
-
-    def build_scorer(self):
-        r = self._reader
-        sdim = self.sample_dim()
-        stype = r.choice(
-            "scorer.type",
-            ("quadratic-sigmoid", "composite", "remote"),
-            DEFAULTS["scorer.type"],
-        )
+        decoder = self.pipeline.decoder
+        sdim = decoder.weight.shape[0] if isinstance(decoder, LinearDecoder) else self.dim
+        stype = r.choice("scorer.type", ("quadratic-sigmoid", "composite", "remote"))
         if stype == "quadratic-sigmoid":
-            target = self._scorer_vector("scorer.quadratic.target",
-                                         "scorer.quadratic.target_seed", sdim)
             return QuadraticSigmoidScorer(
-                target=target,
+                target=self._vector("scorer.quadratic.target", sdim),
                 sharpness=r.float("scorer.quadratic.sharpness", "0.5"),
                 offset=r.float("scorer.quadratic.offset", "0.0"),
             )
@@ -298,13 +269,10 @@ class ExperimentConfig:
                 indices = r.index_list(f"{prefix}.indices")
                 if any(i >= sdim for i in indices):
                     raise r.error(f"{prefix}.indices", f"index beyond sample dim {sdim}")
-                target = self._scorer_vector(
-                    f"{prefix}.target", f"{prefix}.target_seed", len(indices)
-                )
                 groups.append(
                     TargetGroup(
                         indices=tuple(indices),
-                        target=target,
+                        target=self._vector(f"{prefix}.target", len(indices)),
                         radius=r.float(f"{prefix}.radius", "1.0"),
                         sharpness=r.float(f"{prefix}.sharpness", "1.0"),
                     )
@@ -318,7 +286,7 @@ class ExperimentConfig:
         if not endpoint:
             raise r.error("scorer.remote.endpoint", "remote scorer needs an endpoint")
         timeout_ms = r.float("scorer.remote.timeout_ms", "1000")
-        if not (np.isfinite(timeout_ms) and timeout_ms > 0.0):
+        if timeout_ms <= 0.0:
             raise r.error("scorer.remote.timeout_ms", f"must be finite and > 0, got {timeout_ms}")
         return RemoteScorer(
             endpoint=endpoint,
@@ -327,52 +295,42 @@ class ExperimentConfig:
             retries=r.int("scorer.remote.retries", minimum=0, default=1),
         )
 
-    def _scorer_vector(self, key, seed_key, length):
+    def _build_optimizer(self) -> NoiseDiffusionConfig | BaselineConfig:
+        """The configured method's settings. The keys of every method are
+        read and validated whatever the method, as every other key is."""
         r = self._reader
-        if r.has(seed_key):
-            return RngStream(r.int(seed_key), key).normal(length)
-        return r.vector(key, length, "0.0")
-
-    def gradient_mode(self) -> GradientMode:
-        value = self._reader.choice(
-            "gradient.mode",
-            tuple(m.value for m in GradientMode),
-            DEFAULTS["gradient.mode"],
-        )
-        return GradientMode(value)
-
-    def noise_diffusion_config(self) -> NoiseDiffusionConfig:
-        r = self._reader
-        return NoiseDiffusionConfig(
+        mode = GradientMode(r.choice("gradient.mode", tuple(m.value for m in GradientMode)))
+        v_norm_guard = r.float("v_norm_guard")
+        fd_step = r.opt_float("gradient.fd_step")
+        if fd_step is not None and fd_step <= 0.0:
+            raise r.error("gradient.fd_step", f"must be > 0, got {fd_step}")
+        fd = dict(gradient_mode=mode, fd_step=fd_step,
+                  fd_budget=r.opt_int("gradient.fd_budget", minimum=1))
+        noise_diffusion = NoiseDiffusionConfig(
             epochs=self.epochs,
             candidates=self.candidates,
-            gradient_mode=self.gradient_mode(),
-            v_norm_guard=r.float("v_norm_guard", DEFAULTS["v_norm_guard"]),
-            fd_step=r.opt_float("gradient.fd_step"),
-            fd_budget=r.opt_int("gradient.fd_budget", minimum=1),
-            strict_improvement=r.bool("strict", DEFAULTS["strict"]),
+            v_norm_guard=v_norm_guard,
+            strict_improvement=r.bool("strict"),
+            **fd,
         )
-
-    def baseline_config(self) -> BaselineConfig:
-        r = self._reader
-        method = self.method if self.method in BASELINE_METHODS else "random-sampling"
-        return BaselineConfig(
-            method=method,
-            pgd_step=r.float("pgd.step", DEFAULTS["pgd.step"]),
-            pgd_radius=r.float("pgd.radius", DEFAULTS["pgd.radius"]),
-            mv_learning_rate=r.float("mv.learning_rate", DEFAULTS["mv.learning_rate"]),
-            mv_beta1=r.float("mv.beta1", DEFAULTS["mv.beta1"]),
-            mv_beta2=r.float("mv.beta2", DEFAULTS["mv.beta2"]),
-            mv_epsilon=r.float("mv.epsilon", DEFAULTS["mv.epsilon"]),
-            gradient_mode=self.gradient_mode(),
-            fd_step=r.opt_float("gradient.fd_step"),
-            fd_budget=r.opt_int("gradient.fd_budget", minimum=1),
+        baseline = BaselineConfig(
+            method=self.method if self.method in BASELINE_METHODS else "random-sampling",
+            pgd_step=r.float("pgd.step"),
+            pgd_radius=r.float("pgd.radius"),
+            mv_learning_rate=r.float("mv.learning_rate"),
+            mv_beta1=r.float("mv.beta1"),
+            mv_beta2=r.float("mv.beta2"),
+            mv_epsilon=r.float("mv.epsilon"),
+            **fd,
         )
+        return noise_diffusion if self.method == "noise-diffusion" else baseline
 
-    def resolved_text(self) -> str:
-        """Flat serialization with defaults filled in; empty-valued keys
-        (unset optionals) are dropped so the text re-parses as-is."""
-        lines = [f"{k} = {v}" for k, v in sorted(self.resolved.items()) if v != ""]
+    def resolved_text(self, overrides: dict[str, str] | None = None) -> str:
+        """Flat serialization with defaults filled in and ``overrides``
+        applied; empty-valued keys (unset optionals) are dropped so the
+        text re-parses as-is."""
+        entries = {**self.resolved, **(overrides or {})}
+        lines = [f"{k} = {v}" for k, v in sorted(entries.items()) if v != ""]
         return "\n".join(lines) + "\n"
 
 
@@ -452,11 +410,14 @@ class _Reader:
         return self.int(key, minimum=minimum)
 
     def float(self, key, default=None) -> float:
-        raw = self._raw(key, str(default) if default is not None else None)
+        raw = self._raw(key, default)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise self.error(key, f"expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise self.error(key, f"expected a finite number, got {raw!r}")
+        return value
 
     def opt_float(self, key) -> float | None:
         if key not in self.entries:
@@ -503,6 +464,8 @@ class _Reader:
             values = [float(p) for p in parts]
         except ValueError:
             raise self.error(key, f"expected numbers, got {raw!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise self.error(key, f"expected finite numbers, got {raw!r}")
         if len(values) == 1:
             return np.full(length, values[0])
         if len(values) != length:
@@ -514,6 +477,3 @@ class _Reader:
         for key in sorted(unknown):
             _, lineno = self.entries[key]
             raise ConfigError(f"{self.source}: line {lineno}: unknown key {key!r}")
-
-    def resolved(self) -> dict[str, str]:
-        return dict(self.used)

@@ -31,7 +31,6 @@ __all__ = [
     "IdentityDecoder",
     "LinearDecoder",
     "Pipeline",
-    "denoise_pipeline",
 ]
 
 DEFAULT_BETA_START = 1e-4
@@ -397,17 +396,3 @@ class Pipeline:
         z0 = self.denoise(z_T)
         return z0, self.decoder.decode(z0)
 
-
-def denoise_pipeline(
-    z_T,
-    model: DenoiserModel,
-    g: GuidanceConfig,
-    sched: NoiseSchedule,
-    dec: Decoder | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full T-step deterministic denoise and decode the result.
-
-    Returns (z0, sample).
-    """
-    pipeline = Pipeline(model, g, sched, dec if dec is not None else IdentityDecoder())
-    return pipeline.forward(z_T)

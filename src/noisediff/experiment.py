@@ -106,10 +106,10 @@ def read_trajectory_csv(path: str) -> dict[str, list[float]]:
 def run_single(config: ExperimentConfig, seed: int) -> TrajectoryRecord:
     """One optimizer run for one seed, with streams derived from the seed."""
     z_init, rng = _seed_start(config, seed)
-    pipeline, scorer = config.build_pipeline(), config.build_scorer()
+    args = config.pipeline, config.scorer, config.optimizer
     if config.method == "noise-diffusion":
-        return run_noise_diffusion(z_init, pipeline, scorer, config.noise_diffusion_config(), rng)
-    return run_baseline(z_init, pipeline, scorer, config.baseline_config(), config.epochs, rng)
+        return run_noise_diffusion(z_init, *args, rng)
+    return run_baseline(z_init, *args, config.epochs, rng)
 
 
 def _seed_start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, RngStream]:
@@ -144,8 +144,8 @@ def _summary_row(seed: int, record: TrajectoryRecord, dim: int) -> str:
 def run_experiment(config: ExperimentConfig, output: str | None = None) -> ExperimentResult:
     """Run every configured seed and write all artifacts.
 
-    The seeds advance in lockstep (``optimizers.run_lockstep``): one
-    pipeline and scorer built for the run, one batched forward per epoch
+    The seeds advance in lockstep (``optimizers.run_lockstep``): the
+    config's one pipeline and scorer, one batched forward per epoch
     for every seed whose latent moved, and each seed's trajectory the one
     ``run_single`` gives for it. Exit code 0 on success; 3 when any seed
     aborted on a scorer failure, with the partial artifacts written and
@@ -159,16 +159,11 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     result = ExperimentResult(exit_code=EXIT_OK, output_dir=out_dir)
     summary_lines = [SUMMARY_HEADER]
     latent_rows: list[str] = []
-    cfg = (
-        config.noise_diffusion_config()
-        if config.method == "noise-diffusion"
-        else config.baseline_config()
-    )
     records = run_lockstep(
         [_seed_start(config, seed) for seed in config.seeds],
-        config.build_pipeline(),
-        config.build_scorer(),
-        cfg,
+        config.pipeline,
+        config.scorer,
+        config.optimizer,
         config.epochs,
     )
     for seed, record in zip(config.seeds, records):
@@ -222,10 +217,9 @@ def run_sweep(
     for value in values:
         if value < 1:
             raise ConfigError(f"sweep value must be >= 1, got {value}")
-        overrides = dict(config.resolved)
-        overrides[SWEEP_AXES[axis]] = str(value)
-        overrides["output"] = os.path.join(out_dir, f"{axis}{value}")
-        text = "\n".join(f"{k} = {v}" for k, v in sorted(overrides.items()) if v != "")
+        text = config.resolved_text(
+            {SWEEP_AXES[axis]: str(value), "output": os.path.join(out_dir, f"{axis}{value}")}
+        )
         sub_config = ExperimentConfig.from_text(text, source=f"{config.source}[{axis}={value}]")
         sub = run_experiment(sub_config)
         exit_code = max(exit_code, sub.exit_code)

@@ -347,9 +347,10 @@ def remote_score(
     Request body: {"sample": [...], "prompt": ..., "question": ...};
     expected response: {"score": x} with x in [0, 1]. Timeouts, non-200
     statuses, and malformed bodies raise ScorerUnavailableError after
-    ``retries`` additional attempts; an out-of-range score raises
-    ScorerContractError. Both are surfaced for the optimizer to abort
-    the epoch cleanly.
+    ``retries`` additional attempts; an out-of-range score is a
+    deterministic contract violation and raises ScorerContractError on
+    the first answer, without a retry. Both are surfaced for the
+    optimizer to abort the epoch cleanly.
     """
     payload = {
         "sample": np.asarray(sample, dtype=np.float64).tolist(),
@@ -375,8 +376,7 @@ def remote_score(
             last = exc
             continue
         if not np.isfinite(value) or value < 0.0 or value > 1.0:
-            last = ScorerContractError(f"remote score {value!r} outside [0, 1]")
-            continue
+            raise ScorerContractError(f"remote score {value!r} outside [0, 1]")
         return value
     assert last is not None
     raise last

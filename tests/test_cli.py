@@ -93,6 +93,21 @@ class TestRunExperiment:
         assert main(["run", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_repeated_seed_exit_2(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path, seeds="0,0,1")
+        lineno = cfg_path.read_text().splitlines().index("seeds = 0,0,1") + 1
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"line {lineno}: seeds:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", ["v_norm_guard = nan", "gradient.fd_step = -0.1"])
+    def test_bad_number_exit_2(self, tmp_path, capsys, extra):
+        cfg_path = small_config(tmp_path, extra=extra + "\n")
+        lineno = cfg_path.read_text().splitlines().index(extra) + 1
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"line {lineno}: {extra.split(' =')[0]}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
 
@@ -229,15 +244,16 @@ class TestBuildOncePerRun:
         return counts
 
     def test_one_build_for_all_seeds(self, tmp_path, monkeypatch):
-        config = ExperimentConfig.from_text(small_config(tmp_path, epochs=2, seeds="0,1,2")
-                                            .read_text())
+        text = small_config(tmp_path, epochs=2, seeds="0,1,2").read_text()
         counts = self._count_builds(monkeypatch)
+        config = ExperimentConfig.from_text(text)
         result = run_experiment(config)
         assert result.exit_code == 0
         assert sorted(result.records) == [0, 1, 2]
+        # built while parsing; the run uses config.pipeline and config.scorer
         assert counts == {"build_pipeline": 1, "build_scorer": 1}
 
-    def test_run_single_builds_its_own(self, tmp_path, monkeypatch):
+    def test_run_single_builds_nothing(self, tmp_path, monkeypatch):
         config = ExperimentConfig.from_text(small_config(tmp_path, epochs=3, seeds="0,1")
                                             .read_text())
         shared = run_experiment(config).records
@@ -247,7 +263,7 @@ class TestBuildOncePerRun:
             assert [(r.score, r.selected_ratio) for r in alone.rows] == [
                 (r.score, r.selected_ratio) for r in shared[seed].rows
             ]
-        assert counts == {"build_pipeline": 2, "build_scorer": 2}
+        assert counts == {"build_pipeline": 0, "build_scorer": 0}
 
 
 class TestNonFiniteScorerGradient:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisediff.config import SEED_ENV_VAR, ExperimentConfig, parse_config_text
+from noisediff.config import METHODS, SEED_ENV_VAR, ExperimentConfig, parse_config_text
 from noisediff.errors import ConfigError
 from noisediff.scoring import CompositeTargetScorer, QuadraticSigmoidScorer, RemoteScorer
 
@@ -80,8 +82,7 @@ class TestExperimentConfig:
 
 class TestBuilders:
     def test_default_pipeline_shape(self):
-        cfg = ExperimentConfig.from_text(MINIMAL)
-        pipe = cfg.build_pipeline()
+        pipe = ExperimentConfig.from_text(MINIMAL).pipeline
         assert pipe.dim == 8
         assert pipe.schedule.T == 50
         assert pipe.guidance.w == 7.5
@@ -93,7 +94,7 @@ class TestBuilders:
             "denoiser.component.1.weight = 0.5\n"
         )
         cfg = ExperimentConfig.from_text(text)
-        model = cfg.build_pipeline().model
+        model = cfg.pipeline.model
         np.testing.assert_array_equal(model.components[0].mean, np.full(8, 1.5))
         np.testing.assert_array_equal(model.components[1].mean, np.arange(1.0, 9.0))
 
@@ -107,8 +108,8 @@ class TestBuilders:
 
     def test_seeded_mean_is_deterministic(self):
         text = MINIMAL + "denoiser.component.0.mean_seed = 9\n"
-        a = ExperimentConfig.from_text(text).build_pipeline().model.components[0].mean
-        b = ExperimentConfig.from_text(text).build_pipeline().model.components[0].mean
+        a = ExperimentConfig.from_text(text).pipeline.model.components[0].mean
+        b = ExperimentConfig.from_text(text).pipeline.model.components[0].mean
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, np.zeros(8))
 
@@ -120,7 +121,7 @@ class TestBuilders:
             "scorer.group.1.indices = 4,5,6,7\n"
             "scorer.group.1.target = -0.5\n"
         )
-        scorer = ExperimentConfig.from_text(text).build_scorer()
+        scorer = ExperimentConfig.from_text(text).scorer
         assert isinstance(scorer, CompositeTargetScorer)
         assert scorer.groups[0].indices == (0, 1, 2, 3)
         assert scorer.groups[1].indices == (4, 5, 6, 7)
@@ -131,7 +132,7 @@ class TestBuilders:
             ExperimentConfig.from_text(text)
 
     def test_quadratic_scorer_default(self):
-        scorer = ExperimentConfig.from_text(MINIMAL).build_scorer()
+        scorer = ExperimentConfig.from_text(MINIMAL).scorer
         assert isinstance(scorer, QuadraticSigmoidScorer)
 
     def test_remote_scorer_requires_endpoint(self):
@@ -146,7 +147,7 @@ class TestBuilders:
             "scorer.remote.retries = 0\n"
             "scorer.prompt = a lion and a monkey\n"
         )
-        scorer = ExperimentConfig.from_text(text).build_scorer()
+        scorer = ExperimentConfig.from_text(text).scorer
         assert isinstance(scorer, RemoteScorer)
         assert scorer.timeout == 0.25
         assert scorer.retries == 0
@@ -172,9 +173,9 @@ class TestBuilders:
     def test_linear_decoder_sets_sample_dim(self):
         text = MINIMAL + "decoder.type = linear\ndecoder.linear.rows = 3\n"
         cfg = ExperimentConfig.from_text(text)
-        assert cfg.sample_dim() == 3
+        assert cfg.scorer.target.shape == (3,)
         z0 = np.zeros(8)
-        assert cfg.build_pipeline().decoder.decode(z0).shape == (3,)
+        assert cfg.pipeline.decoder.decode(z0).shape == (3,)
 
     def test_dim_mismatch_with_denoiser(self):
         text = "method = noise-diffusion\ndim = 4\ndenoiser.component.0.mean = 1,2,3,4,5\n"
@@ -183,7 +184,7 @@ class TestBuilders:
 
     def test_schedule_keys(self):
         text = MINIMAL + "schedule.beta_start = 0.01\nschedule.beta_end = 0.2\ntimesteps = 5\n"
-        sched = ExperimentConfig.from_text(text).build_schedule()
+        sched = ExperimentConfig.from_text(text).pipeline.schedule
         assert sched.T == 5
         assert sched.betas[0] == 0.01
         with pytest.raises(ConfigError):
@@ -191,10 +192,23 @@ class TestBuilders:
 
     def test_gradient_and_strict_options(self):
         text = MINIMAL + "gradient.mode = finite-difference\ngradient.fd_budget = 4\nstrict = true\n"
-        nd = ExperimentConfig.from_text(text).noise_diffusion_config()
+        nd = ExperimentConfig.from_text(text).optimizer
         assert nd.gradient_mode.value == "finite-difference"
         assert nd.fd_budget == 4
         assert nd.strict_improvement
+
+
+# values that used to pass parsing and fail (or do nothing) at run time
+NAMED_AT_PARSE = [
+    "v_norm_guard = nan\n",
+    "pgd.radius = nan\n",
+    "gradient.fd_step = nan\n",
+    "gradient.fd_step = -0.1\n",
+    "gradient.fd_step = 0\n",
+    "mv.learning_rate = inf\n",
+    "schedule.beta_end = nan\n",
+    "denoiser.component.0.mean = 0,nan,0,0,0,0,0,0\n",
+]
 
 
 class TestConstructionErrorsBecomeConfigErrors:
@@ -208,10 +222,17 @@ class TestConstructionErrorsBecomeConfigErrors:
             "mv.beta1 = 1\n",
             "mv.beta2 = 1.0\n",
             "mv.epsilon = 0\n",
-        ],
+        ]
+        + NAMED_AT_PARSE,
     )
     def test_invalid_values(self, extra):
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_text(MINIMAL + extra)
+
+    @pytest.mark.parametrize("extra", NAMED_AT_PARSE)
+    def test_error_names_key_and_line(self, extra):
+        key = extra.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"line 3: {key}:"):
             ExperimentConfig.from_text(MINIMAL + extra)
 
 
@@ -229,9 +250,58 @@ class TestRemoteGradientCompatibility:
         cfg = ExperimentConfig.from_text(
             self.REMOTE + "gradient.mode = finite-difference\ngradient.fd_budget = 2\n"
         )
-        assert cfg.noise_diffusion_config().fd_budget == 2
+        assert cfg.optimizer.fd_budget == 2
 
     def test_score_only_methods_accepted(self):
         cfg = ExperimentConfig.from_text(self.REMOTE.replace(
             "method = noise-diffusion", "method = random-diffusion"))
         assert cfg.method == "random-diffusion"
+
+
+@st.composite
+def config_texts(draw):
+    """Valid configs over every method, scorer type, decoder, denoiser and
+    seed spelling."""
+    method = draw(st.sampled_from(METHODS))
+    dim = draw(st.integers(1, 6))
+    lines = [f"method = {method}", f"dim = {dim}", "timesteps = 3",
+             f"guidance.scale = {draw(st.floats(-10.0, 10.0))!r}"]
+    if draw(st.booleans()):
+        seeds = draw(st.sets(st.integers(0, 99), min_size=1))
+        lines.append(f"seeds = {','.join(map(str, seeds))}")
+    else:
+        lines.append(f"seeds.count = {draw(st.integers(1, 5))}")
+    if draw(st.booleans()):
+        value = draw(st.floats(-1.0, 1.0))
+        lines += ["denoiser.type = constant", f"denoiser.constant.value = {value!r}"]
+    else:
+        lines.append(f"denoiser.component.0.mean_seed = {draw(st.integers(0, 9))}")
+    sdim = dim
+    if draw(st.booleans()):
+        sdim = draw(st.integers(1, 6))
+        lines += ["decoder.type = linear", f"decoder.linear.rows = {sdim}"]
+    scorer = draw(st.sampled_from(["quadratic-sigmoid", "composite", "remote"]))
+    lines.append(f"scorer.type = {scorer}")
+    if scorer == "quadratic-sigmoid":
+        lines.append(f"scorer.quadratic.target_seed = {draw(st.integers(0, 9))}")
+    elif scorer == "composite":
+        lines += [f"scorer.group.0.indices = 0-{sdim - 1}", "scorer.group.0.target = 0.5"]
+    else:
+        lines.append("scorer.remote.endpoint = http://127.0.0.1:1/score")
+    if scorer == "remote" or draw(st.booleans()):
+        lines += ["gradient.mode = finite-difference",
+                  f"gradient.fd_budget = {draw(st.integers(1, 4))}",
+                  f"gradient.fd_step = {draw(st.floats(1e-6, 1.0))!r}"]
+    lines.append(f"strict = {draw(st.sampled_from(['true', 'false']))}")
+    lines.append(f"mv.learning_rate = {draw(st.floats(1e-4, 1.0))!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_texts())
+def test_resolved_text_reparses_to_the_same_config(text):
+    cfg = ExperimentConfig.from_text(text)
+    again = ExperimentConfig.from_text(cfg.resolved_text())
+    assert again.resolved == cfg.resolved
+    assert again.optimizer == cfg.optimizer
+    assert getattr(cfg.optimizer, "method", "noise-diffusion") == cfg.method

@@ -17,7 +17,6 @@ from noisediff.diffusion import (
     build_schedule,
     cfg_predict,
     ddim_step,
-    denoise_pipeline,
     forward_diffuse,
 )
 from noisediff.errors import DimensionError, ScheduleError, UnknownConditionError
@@ -341,7 +340,7 @@ class TestDenoisePipeline:
         sched = NoiseSchedule.degenerate()
         model = ConstantDenoiser(np.zeros(3))
         z = np.array([1.0, 2.0, 3.0])
-        z0, sample = denoise_pipeline(z, model, GuidanceConfig(w=7.5), sched)
+        z0, sample = Pipeline(model, GuidanceConfig(w=7.5), sched).forward(z)
         np.testing.assert_array_equal(z0, z)
         np.testing.assert_array_equal(sample, z)
 
