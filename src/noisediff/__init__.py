@@ -45,6 +45,7 @@ from .errors import (
     InvalidPromptError,
     InvalidScoreError,
     NoiseDiffError,
+    NonFiniteError,
     ScheduleError,
     ScorerContractError,
     ScorerUnavailableError,

@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: run, sweep, plot, diagnose. Exit codes: 0 ok, 2 config or
-schema error, 3 external scorer failure. The NOISEDIFF_SEED environment
-variable overrides the configured seed list with a single seed.
+schema error, 3 external scorer failure, 4 non-finite sampler output.
+The NOISEDIFF_SEED environment variable overrides the configured seed
+list with a single seed.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import numpy as np
 
 from .analysis import distribution_report, ratio_quartiles
 from .config import load_config
-from .errors import ConfigError, InsufficientSampleError
+from .errors import ConfigError, InsufficientSampleError, NonFiniteError
 from .experiment import (
     EXIT_CONFIG,
+    EXIT_NONFINITE,
     SUMMARY_HEADER,
     TRAJECTORY_HEADER,
     read_trajectory_csv,
@@ -75,6 +77,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonFiniteError as exc:
+        print(f"error: NonFiniteError: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 def _diagnose(paths) -> int:

@@ -27,7 +27,7 @@ from .diffusion import (
     Pipeline,
     build_schedule,
 )
-from .errors import ConfigError, ScheduleError
+from .errors import ConfigError, ScheduleError, UnknownConditionError
 from .latents import RngStream
 from .optimizers import (
     BASELINE_METHODS,
@@ -48,33 +48,6 @@ __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "SEED_ENV_VAR
 SEED_ENV_VAR = "NOISEDIFF_SEED"
 
 METHODS = ("noise-diffusion",) + BASELINE_METHODS
-
-DEFAULTS = {
-    "method": "noise-diffusion",
-    "dim": "64",
-    "epochs": "50",
-    "candidates": "50",
-    "timesteps": "50",
-    "seeds": "0",
-    "output": "runs/latest",
-    "guidance.scale": "7.5",
-    "guidance.condition": "",
-    "guidance.null_condition": "",
-    "schedule.beta_start": "0.0001",
-    "schedule.beta_end": "0.02",
-    "denoiser.type": "mixture",
-    "decoder.type": "identity",
-    "scorer.type": "quadratic-sigmoid",
-    "gradient.mode": "approx-constant-eps",
-    "v_norm_guard": "1e-12",
-    "strict": "false",
-    "pgd.step": "0.05",
-    "pgd.radius": "0.5",
-    "mv.learning_rate": "0.01",
-    "mv.beta1": "0.9",
-    "mv.beta2": "0.999",
-    "mv.epsilon": "1e-8",
-}
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
@@ -132,13 +105,13 @@ class ExperimentConfig:
     def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
         reader = _Reader(parse_config_text(text, source), source)
         cfg = cls(
-            method=reader.choice("method", METHODS),
-            dim=reader.int("dim", minimum=1),
-            epochs=reader.int("epochs", minimum=0),
-            candidates=reader.int("candidates", minimum=1),
-            timesteps=reader.int("timesteps", minimum=1),
+            method=reader.choice("method", METHODS, "noise-diffusion"),
+            dim=reader.int("dim", "64", minimum=1),
+            epochs=reader.int("epochs", "50", minimum=0),
+            candidates=reader.int("candidates", "50", minimum=1),
+            timesteps=reader.int("timesteps", "50", minimum=1),
             seeds=cls._resolve_seeds(reader),
-            output=reader.str("output"),
+            output=reader.str("output", "runs/latest"),
             source=source,
             _reader=reader,
         )
@@ -168,10 +141,12 @@ class ExperimentConfig:
 
     @staticmethod
     def _resolve_seeds(reader) -> list[int]:
-        explicit = reader.int_list("seeds")
+        explicit = reader.int_list("seeds", "0")
         if len(set(explicit)) < len(explicit):
             raise reader.error("seeds", f"each seed may appear once, got {explicit}")
-        count = reader.opt_int("seeds.count", minimum=1)
+        count = reader.int("seeds.count", "", minimum=1)
+        if count is not None and reader.has("seeds"):
+            raise reader.error("seeds.count", "set seeds or seeds.count, not both")
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             try:
@@ -186,22 +161,17 @@ class ExperimentConfig:
 
     def build_pipeline(self) -> Pipeline:
         r = self._reader
-        beta_start = r.float("schedule.beta_start")
-        beta_end = r.float("schedule.beta_end")
+        beta_start = r.float("schedule.beta_start", "0.0001")
+        beta_end = r.float("schedule.beta_end", "0.02")
         try:
             schedule = build_schedule(self.timesteps, beta_start, beta_end)
         except ScheduleError as exc:
             raise r.error("schedule.beta_start", str(exc))
-        if r.choice("denoiser.type", ("mixture", "constant")) == "constant":
+        if r.choice("denoiser.type", ("mixture", "constant"), "mixture") == "constant":
             model = ConstantDenoiser(r.vector("denoiser.constant.value", self.dim, "0.0"))
         else:
-            indices = sorted(
-                {
-                    int(m.group(1))
-                    for key in r.keys_with_prefix("denoiser.component.")
-                    if (m := re.match(r"denoiser\.component\.(\d+)\.", key))
-                }
-            )
+            indices = sorted({int(m.group(1)) for key in r.keys_with_prefix("denoiser.component.")
+                              if (m := re.match(r"denoiser\.component\.(\d+)\.", key))})
             if not indices:
                 indices = [0]  # default: single standard-normal component
             if indices != list(range(len(indices))):
@@ -228,16 +198,23 @@ class ExperimentConfig:
             raise r.error("dim", f"denoiser dim {model.dim} != configured dim {self.dim}")
 
         guidance = GuidanceConfig(
-            w=r.float("guidance.scale"),
-            condition=r.str("guidance.condition") or None,
-            null_condition=r.str("guidance.null_condition") or None,
+            w=r.float("guidance.scale", "7.5"),
+            condition=r.str("guidance.condition", "") or None,
+            null_condition=r.str("guidance.null_condition", "") or None,
         )
+        if isinstance(model, AnalyticMixtureDenoiser):
+            for key, name in (("guidance.condition", guidance.condition),
+                              ("guidance.null_condition", guidance.null_condition)):
+                try:
+                    model.active_indices(name)
+                except UnknownConditionError as exc:
+                    raise r.error(key, exc.args[0])
 
-        if r.choice("decoder.type", ("identity", "linear")) == "identity":
+        if r.choice("decoder.type", ("identity", "linear"), "identity") == "identity":
             decoder = IdentityDecoder()
         else:
             rows = r.int("decoder.linear.rows", minimum=1)
-            gen = RngStream(r.int("decoder.linear.seed", default=0), "decoder").generator()
+            gen = RngStream(r.int("decoder.linear.seed", "0"), "decoder").generator()
             decoder = LinearDecoder(gen.standard_normal((rows, self.dim)) / np.sqrt(self.dim))
         return Pipeline(model, guidance, schedule, decoder)
 
@@ -254,7 +231,8 @@ class ExperimentConfig:
         r = self._reader
         decoder = self.pipeline.decoder
         sdim = decoder.weight.shape[0] if isinstance(decoder, LinearDecoder) else self.dim
-        stype = r.choice("scorer.type", ("quadratic-sigmoid", "composite", "remote"))
+        stype = r.choice("scorer.type", ("quadratic-sigmoid", "composite", "remote"),
+                         "quadratic-sigmoid")
         if stype == "quadratic-sigmoid":
             return QuadraticSigmoidScorer(
                 target=self._vector("scorer.quadratic.target", sdim),
@@ -292,35 +270,36 @@ class ExperimentConfig:
             endpoint=endpoint,
             prompt=r.str("scorer.prompt", "a synthetic benchmark target"),
             timeout=timeout_ms / 1e3,
-            retries=r.int("scorer.remote.retries", minimum=0, default=1),
+            retries=r.int("scorer.remote.retries", "1", minimum=0),
         )
 
     def _build_optimizer(self) -> NoiseDiffusionConfig | BaselineConfig:
         """The configured method's settings. The keys of every method are
         read and validated whatever the method, as every other key is."""
         r = self._reader
-        mode = GradientMode(r.choice("gradient.mode", tuple(m.value for m in GradientMode)))
-        v_norm_guard = r.float("v_norm_guard")
-        fd_step = r.opt_float("gradient.fd_step")
+        mode = GradientMode(r.choice("gradient.mode", tuple(m.value for m in GradientMode),
+                                      "approx-constant-eps"))
+        v_norm_guard = r.float("v_norm_guard", "1e-12")
+        fd_step = r.float("gradient.fd_step", "")
         if fd_step is not None and fd_step <= 0.0:
             raise r.error("gradient.fd_step", f"must be > 0, got {fd_step}")
         fd = dict(gradient_mode=mode, fd_step=fd_step,
-                  fd_budget=r.opt_int("gradient.fd_budget", minimum=1))
+                  fd_budget=r.int("gradient.fd_budget", "", minimum=1))
         noise_diffusion = NoiseDiffusionConfig(
             epochs=self.epochs,
             candidates=self.candidates,
             v_norm_guard=v_norm_guard,
-            strict_improvement=r.bool("strict"),
+            strict_improvement=r.bool("strict", "false"),
             **fd,
         )
         baseline = BaselineConfig(
             method=self.method if self.method in BASELINE_METHODS else "random-sampling",
-            pgd_step=r.float("pgd.step"),
-            pgd_radius=r.float("pgd.radius"),
-            mv_learning_rate=r.float("mv.learning_rate"),
-            mv_beta1=r.float("mv.beta1"),
-            mv_beta2=r.float("mv.beta2"),
-            mv_epsilon=r.float("mv.epsilon"),
+            pgd_step=r.float("pgd.step", "0.05"),
+            pgd_radius=r.float("pgd.radius", "0.5"),
+            mv_learning_rate=r.float("mv.learning_rate", "0.01"),
+            mv_beta1=r.float("mv.beta1", "0.9"),
+            mv_beta2=r.float("mv.beta2", "0.999"),
+            mv_epsilon=r.float("mv.epsilon", "1e-8"),
             **fd,
         )
         return noise_diffusion if self.method == "noise-diffusion" else baseline
@@ -364,16 +343,16 @@ class _Reader:
         return ConfigError(f"{self.source}: {key}: {message}")
 
     def _raw(self, key, default):
+        """The key's text, else ``default`` (None: the key is required);
+        an omitted key whose default is "" reads as None."""
         if key in self.entries:
             value = self.entries[key][0]
-        elif default is not None:
-            value = default
-        elif key in DEFAULTS:
-            value = DEFAULTS[key]
-        else:
+        elif default is None:
             raise ConfigError(f"{self.source}: missing required key {key!r}")
+        else:
+            value = default
         self.used[key] = value
-        return value
+        return None if value == "" and key not in self.entries else value
 
     def str(self, key, default=None) -> str:
         return self._raw(key, default)
@@ -392,8 +371,10 @@ class _Reader:
             return False
         raise self.error(key, f"expected true/false, got {value!r}")
 
-    def int(self, key, minimum=None, default=None) -> int:
-        raw = self._raw(key, str(default) if default is not None else None)
+    def int(self, key, default=None, minimum=None) -> int | None:
+        raw = self._raw(key, default)
+        if raw is None:
+            return None
         try:
             value = int(raw)
         except ValueError:
@@ -402,15 +383,10 @@ class _Reader:
             raise self.error(key, f"must be >= {minimum}, got {value}")
         return value
 
-    def opt_int(self, key, minimum=None) -> int | None:
-        """Integer that may be omitted entirely (no default)."""
-        if key not in self.entries:
-            self.used.setdefault(key, "")
-            return None
-        return self.int(key, minimum=minimum)
-
-    def float(self, key, default=None) -> float:
+    def float(self, key, default=None) -> float | None:
         raw = self._raw(key, default)
+        if raw is None:
+            return None
         try:
             value = float(raw)
         except ValueError:
@@ -418,12 +394,6 @@ class _Reader:
         if not math.isfinite(value):
             raise self.error(key, f"expected a finite number, got {raw!r}")
         return value
-
-    def opt_float(self, key) -> float | None:
-        if key not in self.entries:
-            self.used.setdefault(key, "")
-            return None
-        return self.float(key)
 
     def int_list(self, key, default=None) -> list[int]:
         raw = self._raw(key, default)
@@ -473,7 +443,5 @@ class _Reader:
         return np.array(values)
 
     def reject_unknown(self):
-        unknown = set(self.entries) - set(self.used)
-        for key in sorted(unknown):
-            _, lineno = self.entries[key]
-            raise ConfigError(f"{self.source}: line {lineno}: unknown key {key!r}")
+        for key in sorted(set(self.entries) - set(self.used)):
+            raise ConfigError(f"{self.source}: line {self.entries[key][1]}: unknown key {key!r}")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ScheduleError, UnknownConditionError
+from .errors import DimensionError, NonFiniteError, ScheduleError, UnknownConditionError
 
 __all__ = [
     "NoiseSchedule",
@@ -394,5 +394,8 @@ class Pipeline:
 
     def forward(self, z_T) -> tuple[np.ndarray, np.ndarray]:
         z0 = self.denoise(z_T)
+        if not np.isfinite(z0).all():
+            bad = int(np.count_nonzero(~np.isfinite(z0)))
+            raise NonFiniteError(f"denoised latent has {bad} non-finite of {z0.size} entries")
         return z0, self.decoder.decode(z0)
 

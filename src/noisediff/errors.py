@@ -30,6 +30,10 @@ class GradientUnavailableError(NoiseDiffError, RuntimeError):
     that this scorer/denoiser does not provide."""
 
 
+class NonFiniteError(NoiseDiffError):
+    """The sampler produced a non-finite value (NaN or infinity)."""
+
+
 class ScorerContractError(NoiseDiffError, RuntimeError):
     """A scorer returned a value outside [0, 1] or non-finite."""
 

@@ -43,6 +43,7 @@ SCORE_TARGET = 0.9  # threshold behind the epochs_to_0.9 summary column
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SCORER = 3
+EXIT_NONFINITE = 4
 
 
 @dataclass

@@ -261,64 +261,6 @@ class _Seed:
             return None
 
 
-def _optimize(method, runs, pipeline, scorer, epochs, record_latents):
-    """The epoch loop every method shares, stepping all of a run's seeds
-    in lockstep; ``runs`` holds one ``(z_T, step)`` per seed and the
-    records come back in the same order.
-
-    Epoch 0 scores each start latent. Each later epoch calls every live
-    seed's ``step(epoch, z, score, (z0, sample))``, which returns the next
-    latent (None for a skipped epoch) and the epoch's gamma, selected
-    ratio, gradient norm and step norm. The latents that moved go
-    through one batched ``pipeline.forward``, whose rows have the bits of
-    single forwards, and each is scored on its own; a skipped epoch keeps
-    the seed's current ``(z0, sample)`` pair. Steps, scores, best-tracking
-    and random streams stay per seed, so a seed's trajectory is the one
-    it has when run alone. A seed's ``wall_ms`` for an epoch is its own
-    step and score time plus its share of the batched forward (the
-    forward's time over the rows in it), so a run's ``wall_ms`` add up
-    to its loop time. A scorer outage or contract violation ends only
-    the seed it came from.
-    """
-    seeds = []
-    for z_T, step in runs:
-        z = as_latent(z_T, dim=pipeline.dim).copy()
-        rec = TrajectoryRecord(method=method, latents=[] if record_latents else None)
-        seeds.append(_Seed(step, z, rec, moved=z))  # epoch 0 scores the start latent
-    live = seeds
-    for epoch in range(epochs + 1):
-        if epoch:
-            for s in live:
-                t0 = time.perf_counter()
-                out = s.guarded(s.step, epoch, s.z, s.score, s.forward)
-                s.wall_ms = (time.perf_counter() - t0) * 1e3
-                if out is not None:
-                    s.moved, *s.fields = out
-        moved = [s for s in live if not s.rec.incomplete and s.moved is not None]
-        if moved:
-            t0 = time.perf_counter()
-            z0s, samples = pipeline.forward(np.stack([s.moved for s in moved]))
-            share = (time.perf_counter() - t0) * 1e3 / len(moved)
-            for s, z0, sample in zip(moved, z0s, samples):
-                t0 = time.perf_counter()
-                s.z, s.forward = s.moved, (z0, sample)
-                s.score = s.guarded(checked_score, scorer, sample)
-                s.wall_ms += share + (time.perf_counter() - t0) * 1e3
-        live = [s for s in live if not s.rec.incomplete]
-        for s in live:
-            rec = s.rec
-            if epoch == 0 or s.score > rec.best_score:
-                rec.best_score = s.score
-                rec.best_latent = s.z.copy()
-                rec.best_sample = np.array(s.forward[1], copy=True)
-            rec.final_latent = s.z.copy()
-            if record_latents:
-                rec.latents.append(s.z.copy())
-            rec.rows.append(EpochRow(epoch, s.score, rec.best_score, *s.fields,
-                                     wall_ms=s.wall_ms))
-    return [s.rec if s.rec.incomplete else s.rec.validate() for s in seeds]
-
-
 def _gradient(z, pipeline, scorer, cfg, rng: RngStream, epoch, forward):
     """``latent_gradient`` in ``cfg``'s mode, and its norm. With a probe
     budget below the dimension, finite differences probe a seeded
@@ -418,11 +360,23 @@ def run_lockstep(
     epochs: int,
 ) -> list[TrajectoryRecord]:
     """Run ``cfg``'s method from every ``(z_T, rng)`` start for ``epochs``
-    epochs, all seeds in lockstep through one batched forward per epoch.
+    epochs, all seeds in lockstep; the records come back in start order.
 
-    Each seed gets its own step (and, for mean-variance, its own Adam
-    state), so record k is the one ``run_noise_diffusion`` or
-    ``run_baseline`` returns for start k alone.
+    This is the epoch loop every method shares. Each seed gets its own
+    step (and, for mean-variance, its own Adam state), so record k is the
+    one ``run_noise_diffusion`` or ``run_baseline`` returns for start k
+    alone. Epoch 0 scores each start latent. Each later epoch calls every
+    live seed's ``step(epoch, z, score, (z0, sample))``, which returns the
+    next latent (None for a skipped epoch) and the epoch's gamma, selected
+    ratio, gradient norm and step norm. The latents that moved go through
+    one batched ``pipeline.forward``, whose rows have the bits of single
+    forwards, and each is scored on its own; a skipped epoch keeps the
+    seed's current ``(z0, sample)`` pair. Steps, scores, best-tracking and
+    random streams stay per seed. A seed's ``wall_ms`` for an epoch is its
+    own step and score time plus its share of the batched forward (the
+    forward's time over the rows in it), so a run's ``wall_ms`` add up to
+    its loop time. A scorer outage or contract violation ends only the
+    seed it came from.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -430,8 +384,44 @@ def run_lockstep(
         method, make_step = "noise-diffusion", _noise_diffusion_step
     else:
         method, make_step = cfg.method, _baseline_step
-    runs = [(z_T, make_step(z_T, pipeline, scorer, cfg, rng)) for z_T, rng in starts]
-    return _optimize(method, runs, pipeline, scorer, epochs, cfg.record_latents)
+    seeds = []
+    for z_T, rng in starts:
+        z = as_latent(z_T, dim=pipeline.dim).copy()
+        rec = TrajectoryRecord(method=method, latents=[] if cfg.record_latents else None)
+        step = make_step(z_T, pipeline, scorer, cfg, rng)
+        seeds.append(_Seed(step, z, rec, moved=z))  # epoch 0 scores the start latent
+    live = seeds
+    for epoch in range(epochs + 1):
+        if epoch:
+            for s in live:
+                t0 = time.perf_counter()
+                out = s.guarded(s.step, epoch, s.z, s.score, s.forward)
+                s.wall_ms = (time.perf_counter() - t0) * 1e3
+                if out is not None:
+                    s.moved, *s.fields = out
+        moved = [s for s in live if not s.rec.incomplete and s.moved is not None]
+        if moved:
+            t0 = time.perf_counter()
+            z0s, samples = pipeline.forward(np.stack([s.moved for s in moved]))
+            share = (time.perf_counter() - t0) * 1e3 / len(moved)
+            for s, z0, sample in zip(moved, z0s, samples):
+                t0 = time.perf_counter()
+                s.z, s.forward = s.moved, (z0, sample)
+                s.score = s.guarded(checked_score, scorer, sample)
+                s.wall_ms += share + (time.perf_counter() - t0) * 1e3
+        live = [s for s in live if not s.rec.incomplete]
+        for s in live:
+            rec = s.rec
+            if epoch == 0 or s.score > rec.best_score:
+                rec.best_score = s.score
+                rec.best_latent = s.z.copy()
+                rec.best_sample = np.array(s.forward[1], copy=True)
+            rec.final_latent = s.z.copy()
+            if cfg.record_latents:
+                rec.latents.append(s.z.copy())
+            rec.rows.append(EpochRow(epoch, s.score, rec.best_score, *s.fields,
+                                     wall_ms=s.wall_ms))
+    return [s.rec if s.rec.incomplete else s.rec.validate() for s in seeds]
 
 
 def run_noise_diffusion(

@@ -108,6 +108,24 @@ class TestRunExperiment:
         assert f"line {lineno}: {extra.split(' =')[0]}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_seeds_with_seeds_count_exit_2(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path, seeds="0,1,2", extra="seeds.count = 2\n")
+        lineno = cfg_path.read_text().splitlines().index("seeds.count = 2") + 1
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"line {lineno}: seeds.count:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["guidance.condition", "guidance.null_condition"])
+    def test_unknown_guidance_condition_exit_2(self, tmp_path, capsys, key):
+        cfg_path = small_config(tmp_path)
+        lines = [line for line in cfg_path.read_text().splitlines()
+                 if not line.startswith(f"{key} ")] + [f"{key} = nosuch"]
+        cfg_path.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines)}: {key}: unknown condition 'nosuch'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
 
@@ -293,3 +311,15 @@ class TestNonFiniteScorerGradient:
                    for line in status[1:])
         cols = read_trajectory_csv(str(tmp_path / "out" / "trajectory_seed0.csv"))
         assert cols["epoch"] == [0.0]  # the first gradient already failed
+
+
+class TestNonFinitePipelineOutput:
+    def test_run_exits_4_and_blames_the_pipeline(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path, epochs=2, seeds="0,1")
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace("guidance.scale = 7.5", "guidance.scale = 1e300"))
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "NonFiniteError" in err
+        assert "ScorerContractError" not in err

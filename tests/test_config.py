@@ -222,6 +222,7 @@ class TestConstructionErrorsBecomeConfigErrors:
             "mv.beta1 = 1\n",
             "mv.beta2 = 1.0\n",
             "mv.epsilon = 0\n",
+            "gradient.fd_step =\n",
         ]
         + NAMED_AT_PARSE,
     )
@@ -234,6 +235,47 @@ class TestConstructionErrorsBecomeConfigErrors:
         key = extra.split(" =")[0]
         with pytest.raises(ConfigError, match=f"line 3: {key}:"):
             ExperimentConfig.from_text(MINIMAL + extra)
+
+
+# resolved_text() of MINIMAL with each method: every default, pinned
+PINNED_DEFAULTS = """\
+candidates = 50
+decoder.type = identity
+denoiser.component.0.mean = 0.0
+denoiser.component.0.var = 1.0
+denoiser.component.0.weight = 1.0
+denoiser.type = mixture
+dim = 8
+epochs = 50
+gradient.mode = approx-constant-eps
+guidance.scale = 7.5
+method = {method}
+mv.beta1 = 0.9
+mv.beta2 = 0.999
+mv.epsilon = 1e-8
+mv.learning_rate = 0.01
+output = runs/latest
+pgd.radius = 0.5
+pgd.step = 0.05
+schedule.beta_end = 0.02
+schedule.beta_start = 0.0001
+scorer.quadratic.offset = 0.0
+scorer.quadratic.sharpness = 0.5
+scorer.quadratic.target = 0.0
+scorer.type = quadratic-sigmoid
+seeds = 0
+strict = false
+timesteps = 50
+v_norm_guard = 1e-12
+"""
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_resolved_text_pins_every_default(method):
+    text = f"method = {method}\ndim = 8\n"
+    assert ExperimentConfig.from_text(text).resolved_text() == PINNED_DEFAULTS.format(
+        method=method
+    )
 
 
 class TestRemoteGradientCompatibility:

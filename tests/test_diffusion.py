@@ -19,7 +19,12 @@ from noisediff.diffusion import (
     ddim_step,
     forward_diffuse,
 )
-from noisediff.errors import DimensionError, ScheduleError, UnknownConditionError
+from noisediff.errors import (
+    DimensionError,
+    NonFiniteError,
+    ScheduleError,
+    UnknownConditionError,
+)
 from noisediff.latents import RngStream
 
 
@@ -356,6 +361,13 @@ class TestDenoisePipeline:
             z = gen.standard_normal(4)
             expect = np.sqrt(1.0 / ab_T) * z - np.sqrt((1.0 - ab_T) / ab_T) * eps
             np.testing.assert_allclose(pipe.denoise(z), expect, rtol=1e-12)
+
+    def test_non_finite_z0_raises(self):
+        pipe, _ = _mixture_pipeline()
+        z = RngStream(4, "det").normal(6)
+        z[2] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite"):
+            pipe.forward(z)
 
     def test_bit_identical_reruns(self):
         pipe, _ = _mixture_pipeline()
