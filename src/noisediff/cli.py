@@ -16,15 +16,7 @@ import numpy as np
 from .analysis import distribution_report, ratio_quartiles
 from .config import load_config
 from .errors import ConfigError, InsufficientSampleError, NonFiniteError
-from .experiment import (
-    EXIT_CONFIG,
-    EXIT_NONFINITE,
-    SUMMARY_HEADER,
-    TRAJECTORY_HEADER,
-    read_trajectory_csv,
-    run_experiment,
-    run_sweep,
-)
+from .experiment import EXIT_CONFIG, EXIT_NONFINITE, read_csv, run_experiment, run_sweep
 from .optimizers import TrajectoryRecord, EpochRow
 from .plotting import emit_plot
 
@@ -84,28 +76,20 @@ def main(argv=None) -> int:
 
 def _diagnose(paths) -> int:
     for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                header = fh.readline().strip()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path!r}: {exc}")
+        kind, cols = read_csv(path)
         print(f"== {path}")
-        if header == TRAJECTORY_HEADER:
-            _diagnose_trajectory(path)
-        elif header == "seed," + ",".join(f"z{i}" for i in range(header.count(","))):
-            _diagnose_latents(path)
-        elif header == SUMMARY_HEADER:
-            _diagnose_summary(path)
-        else:
-            raise ConfigError(f"{path}: unrecognized CSV schema")
+        {"trajectory": _diagnose_trajectory, "latents": _diagnose_latents,
+         "summary": _diagnose_summary}[kind](cols)
     return 0
 
 
-def _diagnose_trajectory(path):
-    cols = read_trajectory_csv(path)
+def _diagnose_trajectory(cols):
     best = cols["best_score"]
+    print(f"epochs: {max(len(best) - 1, 0)}")
+    if not best:
+        print("no scored epoch: the trajectory has a header only")
+        return
     monotone = all(b >= a for a, b in zip(best, best[1:]))
-    print(f"epochs: {len(best) - 1}")
     print(f"initial score: {cols['score'][0]:.6f}")
     print(f"final best score: {best[-1]:.6f}")
     print(f"best-score monotone: {'yes' if monotone else 'NO'}")
@@ -122,13 +106,10 @@ def _diagnose_trajectory(path):
         print("selected ratio quartiles: not enough recorded ratios")
 
 
-def _diagnose_latents(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    for line in lines[1:]:
-        cells = line.split(",")
-        seed = cells[0]
-        z = np.array([float(c) for c in cells[1:]])
+def _diagnose_latents(cols):
+    names = list(cols)[1:]
+    for i, seed in enumerate(cols["seed"]):
+        z = np.array([cols[name][i] for name in names])
         try:
             report = distribution_report(z)
         except InsufficientSampleError:
@@ -141,14 +122,8 @@ def _diagnose_latents(path):
         )
 
 
-def _diagnose_summary(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    finals = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) >= 3 and cells[2]:
-            finals.append(float(cells[2]))
+def _diagnose_summary(cols):
+    finals = [x for x in cols["final_best_score"] if not np.isnan(x)]
     if finals:
         print(f"seeds: {len(finals)}")
         print(f"median final best score: {float(np.median(finals)):.6f}")

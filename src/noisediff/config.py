@@ -142,6 +142,8 @@ class ExperimentConfig:
     @staticmethod
     def _resolve_seeds(reader) -> list[int]:
         explicit = reader.int_list("seeds", "0")
+        if not explicit:
+            raise reader.error("seeds", "expected at least one seed")
         if len(set(explicit)) < len(explicit):
             raise reader.error("seeds", f"each seed may appear once, got {explicit}")
         count = reader.int("seeds.count", "", minimum=1)

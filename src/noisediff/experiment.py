@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import ratio_quartiles
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_config_text
 from .errors import ConfigError, InsufficientSampleError
 from .latents import RngStream, ks_normality, sample_standard_normal
 from .optimizers import TrajectoryRecord, run_baseline, run_lockstep, run_noise_diffusion
@@ -29,7 +29,9 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "write_trajectory_csv",
+    "read_csv",
     "read_trajectory_csv",
+    "read_run_method",
 ]
 
 TRAJECTORY_HEADER = "epoch,score,best_score,gamma,selected_ratio,grad_norm,v_norm,wall_ms"
@@ -63,45 +65,86 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_trajectory_csv(record: TrajectoryRecord, path: str):
-    lines = [TRAJECTORY_HEADER]
-    for row in record.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.epoch),
-                    _fmt(row.score),
-                    _fmt(row.best_score),
-                    _fmt(row.gamma),
-                    _fmt(row.selected_ratio),
-                    _fmt(row.grad_norm),
-                    _fmt(row.v_norm),
-                    f"{row.wall_ms:.3f}",
-                ]
-            )
-        )
+def _write(path: str, lines) -> None:
+    """Write one artifact, each line ending in a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path: str) -> dict[str, list[float]]:
-    """Columns as lists of floats (NaN for empty cells)."""
+def _latents_header(dim: int) -> str:
+    return "seed," + ",".join(f"z{i}" for i in range(dim))
+
+
+def write_trajectory_csv(record: TrajectoryRecord, path: str):
+    _write(path, [TRAJECTORY_HEADER] + [
+        ",".join(map(_fmt, [row.epoch, row.score, row.best_score, row.gamma,
+                            row.selected_ratio, row.grad_norm, row.v_norm]))
+        + f",{row.wall_ms:.3f}"
+        for row in record.rows
+    ])
+
+
+def read_csv(path: str) -> tuple[str, dict[str, list]]:
+    """An artifact's kind ("trajectory", "summary" or "latents") and its
+    columns: each seed as written (seeds can exceed 2**53), every other
+    cell a float, NaN for an empty trajectory or summary cell.
+
+    Blank lines are skipped. An unreadable file, an unknown header, a row
+    of the wrong width or a non-numeric cell is a ConfigError naming the
+    file and the line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read trajectory CSV {path!r}: {exc}")
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise ConfigError(f"{path}: not a trajectory CSV (bad header)")
-    names = lines[0].split(",")
-    columns: dict[str, list[float]] = {name: [] for name in names}
-    for line in lines[1:]:
+            lines = [(n, text) for n, line in enumerate(fh, start=1) if (text := line.strip())]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}")
+    header_at, header = lines[0] if lines else (1, "")
+    kind = {TRAJECTORY_HEADER: "trajectory", SUMMARY_HEADER: "summary"}.get(header)
+    if kind is None and header == _latents_header(header.count(",")):
+        kind = "latents"
+    if kind is None:
+        raise ConfigError(f"{path}: line {header_at}: unrecognized CSV header")
+    names = header.split(",")
+    columns: dict[str, list] = {name: [] for name in names}
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(names):
-            raise ConfigError(f"{path}: row with {len(cells)} cells, expected {len(names)}")
+            raise ConfigError(f"{path}: line {lineno}: {len(cells)} cells, expected {len(names)}")
         for name, cell in zip(names, cells):
-            columns[name].append(float(cell) if cell else float("nan"))
+            try:
+                if name == "seed":
+                    int(cell)
+                    columns[name].append(cell)
+                else:
+                    blank = cell == "" and kind != "latents"
+                    columns[name].append(float("nan") if blank else float(cell))
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: line {lineno}: {name}: expected a number, got {cell!r}"
+                )
+    return kind, columns
+
+
+def read_trajectory_csv(path: str) -> dict[str, list[float]]:
+    """Columns as lists of floats (NaN for empty cells)."""
+    kind, columns = read_csv(path)
+    if kind != "trajectory":
+        raise ConfigError(f"{path}: a {kind} CSV, not a trajectory CSV")
     return columns
+
+
+def read_run_method(csv_path: str) -> str | None:
+    """The method named by the config.resolved.txt next to an artifact,
+    None without one."""
+    sidecar = os.path.join(os.path.dirname(csv_path) or ".", "config.resolved.txt")
+    if not os.path.exists(sidecar):
+        return None
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            entries = parse_config_text(fh.read(), source=sidecar)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {sidecar!r}: {exc}")
+    return entries["method"][0] if "method" in entries else None
 
 
 def run_single(config: ExperimentConfig, seed: int) -> TrajectoryRecord:
@@ -130,16 +173,7 @@ def _summary_row(seed: int, record: TrajectoryRecord, dim: int) -> str:
     ks_stat = None
     if record.final_latent is not None and dim >= 8:
         ks_stat, _ = ks_normality(record.final_latent)
-    return ",".join(
-        [
-            str(seed),
-            _fmt(initial),
-            _fmt(record.best_score),
-            str(epochs_to),
-            _fmt(mean_ratio),
-            _fmt(ks_stat),
-        ]
-    )
+    return ",".join(map(_fmt, [seed, initial, record.best_score, epochs_to, mean_ratio, ks_stat]))
 
 
 def run_experiment(config: ExperimentConfig, output: str | None = None) -> ExperimentResult:
@@ -154,8 +188,7 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     """
     out_dir = output if output is not None else config.output
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config.resolved_text())
+    _write(os.path.join(out_dir, "config.resolved.txt"), config.resolved_text().splitlines())
 
     result = ExperimentResult(exit_code=EXIT_OK, output_dir=out_dir)
     summary_lines = [SUMMARY_HEADER]
@@ -172,23 +205,16 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
         write_trajectory_csv(record, os.path.join(out_dir, f"trajectory_seed{seed}.csv"))
         summary_lines.append(_summary_row(seed, record, config.dim))
         if record.final_latent is not None:
-            cells = ",".join(repr(float(x)) for x in record.final_latent)
-            latent_rows.append(f"{seed},{cells}")
+            latent_rows.append(",".join(map(_fmt, [seed, *map(float, record.final_latent)])))
         if record.incomplete:
             result.failures.append(f"seed {seed}: incomplete ({record.failure})")
 
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
+    _write(os.path.join(out_dir, "summary.csv"), summary_lines)
     if latent_rows:
-        header = "seed," + ",".join(f"z{i}" for i in range(config.dim))
-        with open(
-            os.path.join(out_dir, "final_latents.csv"), "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            fh.write(header + "\n" + "\n".join(latent_rows) + "\n")
-
+        latent_rows.insert(0, _latents_header(config.dim))
+        _write(os.path.join(out_dir, "final_latents.csv"), latent_rows)
     status = ["ok"] if not result.failures else ["incomplete"] + result.failures
-    with open(os.path.join(out_dir, "status.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(status) + "\n")
+    _write(os.path.join(out_dir, "status.txt"), status)
     if result.failures:
         result.exit_code = EXIT_SCORER
     return result
@@ -210,14 +236,16 @@ def run_sweep(
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if min(values) < 1:
+        raise ConfigError(f"sweep values must be >= 1, got {min(values)}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"each sweep value may appear once, got {values}")
     out_dir = output if output is not None else config.output
     os.makedirs(out_dir, exist_ok=True)
 
     exit_code = EXIT_OK
     lines = [SWEEP_HEADER]
     for value in values:
-        if value < 1:
-            raise ConfigError(f"sweep value must be >= 1, got {value}")
         text = config.resolved_text(
             {SWEEP_AXES[axis]: str(value), "output": os.path.join(out_dir, f"{axis}{value}")}
         )
@@ -230,13 +258,8 @@ def run_sweep(
             q1, med, q3 = ratio_quartiles(sub.records.values())
         except InsufficientSampleError:
             q1 = med = q3 = None
-        lines.append(
-            ",".join(
-                [axis, str(value), _fmt(median_final), _fmt(q1), _fmt(med), _fmt(q3)]
-            )
-        )
+        lines.append(",".join(map(_fmt, [axis, value, median_final, q1, med, q3])))
 
     sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(sweep_path, lines)
     return exit_code, sweep_path

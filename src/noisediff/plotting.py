@@ -10,9 +10,8 @@ import os
 
 import numpy as np
 
-from .config import parse_config_text
 from .errors import ConfigError
-from .experiment import read_trajectory_csv
+from .experiment import read_run_method, read_trajectory_csv
 
 __all__ = ["emit_plot", "group_by_method"]
 
@@ -21,22 +20,13 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 56, 150, 20, 44
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _method_label(csv_path: str) -> str:
-    """Method name from the resolved config next to the CSV, else the
-    file stem."""
-    sidecar = os.path.join(os.path.dirname(csv_path) or ".", "config.resolved.txt")
-    if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            entries = parse_config_text(fh.read(), source=sidecar)
-        if "method" in entries:
-            return entries["method"][0]
-    return os.path.splitext(os.path.basename(csv_path))[0]
-
-
 def group_by_method(csv_paths) -> dict[str, list[str]]:
+    """CSVs by the method their run's resolved config names, else by
+    file stem."""
     groups: dict[str, list[str]] = {}
     for path in csv_paths:
-        groups.setdefault(_method_label(path), []).append(path)
+        label = read_run_method(path) or os.path.splitext(os.path.basename(path))[0]
+        groups.setdefault(label, []).append(path)
     return groups
 
 
@@ -44,8 +34,9 @@ def _mean_best_curve(paths) -> np.ndarray:
     """Mean best_score per epoch across trajectories, ignoring missing
     tail epochs of shorter (partial) runs."""
     curves = [read_trajectory_csv(p)["best_score"] for p in paths]
-    if any(len(c) == 0 for c in curves):
-        raise ConfigError("trajectory CSV with no rows")
+    for path, curve in zip(paths, curves):
+        if not curve:
+            raise ConfigError(f"{path}: trajectory CSV with no rows")
     length = max(len(c) for c in curves)
     stacked = np.full((len(curves), length), np.nan)
     for i, c in enumerate(curves):

@@ -7,6 +7,7 @@ import pytest
 from noisediff.benchmarks import composite_benchmark_config
 from noisediff.cli import main
 from noisediff.config import ExperimentConfig
+from noisediff.errors import ScorerUnavailableError
 from noisediff.experiment import (
     SUMMARY_HEADER,
     TRAJECTORY_HEADER,
@@ -108,6 +109,13 @@ class TestRunExperiment:
         assert f"line {lineno}: {extra.split(' =')[0]}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_seeds_exit_2(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path, seeds="")
+        lineno = cfg_path.read_text().splitlines().index("seeds = ") + 1
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"line {lineno}: seeds:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seeds_with_seeds_count_exit_2(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path, seeds="0,1,2", extra="seeds.count = 2\n")
         lineno = cfg_path.read_text().splitlines().index("seeds.count = 2") + 1
@@ -158,6 +166,15 @@ class TestSweep:
                      "-o", str(tmp_path / "sw")]) == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("values", ["5,0", "3,3"])
+    def test_bad_values_exit_2_before_any_run(self, tmp_path, capsys, values):
+        cfg_path = small_config(tmp_path, epochs=1, seeds="0")
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg_path), "--axis", "T", "--values", values,
+                     "-o", str(sw)]) == 2
+        assert "sweep value" in capsys.readouterr().err
+        assert not sw.exists()
+
     def test_sweep_writes_per_value_dirs(self, tmp_path):
         cfg_path = small_config(tmp_path, epochs=1, seeds="0")
         cfg = ExperimentConfig.from_text(cfg_path.read_text())
@@ -197,6 +214,13 @@ class TestPlot:
         bad.write_text("a,b\n1,2\n")
         assert main(["plot", str(bad), "-o", str(tmp_path / "x.svg")]) == 2
 
+    def test_bad_cell_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "trajectory_seed0.csv"
+        bad.write_text(f"{TRAJECTORY_HEADER}\n0,0.5,0.5,,,,,1.0\n1,x,0.5,,,,,1.0\n")
+        assert main(["plot", str(bad), "-o", str(tmp_path / "x.svg")]) == 2
+        assert f"{bad}: line 3: score:" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestDiagnose:
     def test_trajectory_and_latents(self, tmp_path, capsys):
@@ -228,6 +252,49 @@ class TestDiagnose:
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
         assert main(["diagnose", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text, lineno", [
+        (f"{TRAJECTORY_HEADER}\n0,0.5,0.5,,,,,1.0\n\n1,0.6,0.6,0.1,x,1.0,1.0,1.0\n", 4),
+        ("seed,z0,z1,z2\n0,0.1,abc,0.3\n", 2),
+        (f"{SUMMARY_HEADER}\n0,0.1,0.5,-1,,\n1,0.1,zz,-1,,\n", 3),
+        ("seed," + ",".join(f"z{i}" for i in range(8)) + "\n0,0.1,0.2\n", 2),
+        (f"{SUMMARY_HEADER}\n0,0.1,0.5,-1,,\n\n1,0.1\n", 4),
+        ("seed,z0\n1.5,0.1\n", 2),
+    ], ids=["trajectory-cell", "latents-cell", "summary-cell", "latents-width",
+            "summary-width", "latents-seed"])
+    def test_malformed_artifact_exit_2(self, tmp_path, capsys, text, lineno):
+        bad = tmp_path / "artifact.csv"
+        bad.write_text(text)
+        assert main(["diagnose", str(bad)]) == 2
+        assert f"error: {bad}: line {lineno}: " in capsys.readouterr().err
+
+    def test_seed_printed_as_written(self, tmp_path, capsys):
+        latents = tmp_path / "final_latents.csv"
+        seed = 2**53 + 1
+        latents.write_text("seed,z0\n" + f"{seed},0.25\n")
+        assert main(["diagnose", str(latents)]) == 0
+        assert f"seed {seed}: dim 1 too small" in capsys.readouterr().out
+
+    def test_header_only_trajectory(self, tmp_path, monkeypatch, capsys):
+        class Unavailable(Scorer):
+            def score(self, sample):
+                raise ScorerUnavailableError("no service")
+
+        build_scorer = ExperimentConfig.build_scorer
+
+        def unavailable_scorer(config):
+            build_scorer(config)  # reads the scorer keys, as validation needs
+            return Unavailable()
+
+        monkeypatch.setattr(ExperimentConfig, "build_scorer", unavailable_scorer)
+        cfg_path = small_config(tmp_path, method="random-sampling", epochs=2, seeds="0")
+        assert main(["run", str(cfg_path)]) == 3
+        trajectory = tmp_path / "out" / "trajectory_seed0.csv"
+        assert trajectory.read_text() == TRAJECTORY_HEADER + "\n"
+        capsys.readouterr()
+        assert main(["diagnose", str(trajectory)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["epochs: 0", "no scored epoch: the trajectory has a header only"]
 
 
 class TestFiveMethodPlot:
