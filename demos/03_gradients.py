@@ -57,5 +57,6 @@ comps = [MixtureComponent(0.5, np.full(d, 1.0), 0.5), MixtureComponent(0.5, np.f
 compare("close narrow mixture (approximation degrades)",
         Pipeline(AnalyticMixtureDenoiser(comps, sched), GuidanceConfig(w=1.0), sched))
 
-print("\ncost reminder: one-pass = 1 pipeline pass; finite differences = 2d passes;")
+print("\ncost reminder: one-pass = 1 pipeline pass; finite differences = 2d latents")
+print("in one batched pass, each probe sample scored on its own;")
 print("chain = 1 pass plus T dense (d, d) Jacobian products.")

@@ -41,6 +41,7 @@ from .scoring import (
     RemoteScorer,
     Scorer,
     TargetGroup,
+    parse_endpoint,
 )
 
 __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "SEED_ENV_VAR"]
@@ -262,9 +263,10 @@ class ExperimentConfig:
                 raise r.error("scorer.type", "composite scorer needs scorer.group.0.*")
             return CompositeTargetScorer(groups)
         # remote
-        endpoint = r.str("scorer.remote.endpoint")
-        if not endpoint:
-            raise r.error("scorer.remote.endpoint", "remote scorer needs an endpoint")
+        try:
+            endpoint = parse_endpoint(r.str("scorer.remote.endpoint"))
+        except ValueError as exc:
+            raise r.error("scorer.remote.endpoint", str(exc))
         timeout_ms = r.float("scorer.remote.timeout_ms", "1000")
         if timeout_ms <= 0.0:
             raise r.error("scorer.remote.timeout_ms", f"must be finite and > 0, got {timeout_ms}")

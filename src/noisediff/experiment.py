@@ -8,6 +8,7 @@ results stay reproducible from the artifacts alone.
 
 from __future__ import annotations
 
+import glob
 import os
 from dataclasses import dataclass, field
 
@@ -184,10 +185,18 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     for every seed whose latent moved, and each seed's trajectory the one
     ``run_single`` gives for it. Exit code 0 on success; 3 when any seed
     aborted on a scorer failure, with the partial artifacts written and
-    flagged in status.txt (the other seeds run on).
+    flagged in status.txt (the other seeds run on). The artifacts an
+    earlier run left in the output directory are removed first, so none
+    outlives a rerun with fewer seeds or one that fails early.
     """
     out_dir = output if output is not None else config.output
     os.makedirs(out_dir, exist_ok=True)
+    owned = glob.glob(os.path.join(glob.escape(out_dir), "trajectory_seed*.csv"))
+    for name in ("summary.csv", "final_latents.csv", "status.txt"):
+        owned.append(os.path.join(out_dir, name))
+    for path in owned:
+        if os.path.isfile(path):
+            os.remove(path)
     _write(os.path.join(out_dir, "config.resolved.txt"), config.resolved_text().splitlines())
 
     result = ExperimentResult(exit_code=EXIT_OK, output_dir=out_dir)

@@ -7,6 +7,7 @@ method's trajectory CSVs on y, with a fixed [0, 1] score axis.
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
@@ -30,13 +31,9 @@ def group_by_method(csv_paths) -> dict[str, list[str]]:
     return groups
 
 
-def _mean_best_curve(paths) -> np.ndarray:
+def _mean_best_curve(curves) -> np.ndarray:
     """Mean best_score per epoch across trajectories, ignoring missing
     tail epochs of shorter (partial) runs."""
-    curves = [read_trajectory_csv(p)["best_score"] for p in paths]
-    for path, curve in zip(paths, curves):
-        if not curve:
-            raise ConfigError(f"{path}: trajectory CSV with no rows")
     length = max(len(c) for c in curves)
     stacked = np.full((len(curves), length), np.nan)
     for i, c in enumerate(curves):
@@ -60,8 +57,20 @@ def emit_plot(csv_paths, output_path: str) -> str:
     csv_paths = list(csv_paths)
     if not csv_paths:
         raise ConfigError("no trajectory CSVs to plot")
-    groups = group_by_method(csv_paths)
-    curves = {method: _mean_best_curve(paths) for method, paths in sorted(groups.items())}
+    best = {}
+    for path in csv_paths:
+        best[path] = read_trajectory_csv(path)["best_score"]
+        if not best[path]:
+            # a seed that failed at epoch 0 leaves a header only
+            print(f"note: {path}: trajectory CSV with no rows, not plotted", file=sys.stderr)
+    plotted = [path for path in csv_paths if best[path]]
+    if not plotted:
+        raise ConfigError("no trajectory CSV with rows to plot")
+    groups = group_by_method(plotted)
+    curves = {
+        method: _mean_best_curve([best[p] for p in paths])
+        for method, paths in sorted(groups.items())
+    }
     max_epoch = max(len(c) - 1 for c in curves.values())
 
     parts = [

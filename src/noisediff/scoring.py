@@ -13,7 +13,7 @@ Three ways to differentiate the latent score s(z_T):
   pair of z_T it runs no pass at all, which is how the optimizers call
   it: each epoch's gradient reuses the forward that scored the latent;
 * ``grad_latent_fd`` — central finite differences through the whole
-  pipeline, 2d passes, the exactness oracle;
+  pipeline, 2d probe latents in one batched pass, the exactness oracle;
 * ``grad_latent_chain`` — exact forward-accumulated Jacobian, available
   when the denoiser has a closed-form Jacobian.
 """
@@ -21,11 +21,12 @@ Three ways to differentiate the latent score s(z_T):
 from __future__ import annotations
 
 import enum
+import http.client
 import json
 from dataclasses import dataclass
+from urllib.parse import quote, urlsplit
 
 import numpy as np
-import requests
 from scipy.special import expit
 
 from .diffusion import Pipeline, cfg_predict, ddim_step
@@ -33,6 +34,7 @@ from .errors import (
     DimensionError,
     GradientUnavailableError,
     InvalidPromptError,
+    NonFiniteError,
     ScorerContractError,
     ScorerUnavailableError,
 )
@@ -50,6 +52,8 @@ __all__ = [
     "grad_latent_chain",
     "latent_gradient",
     "format_vqa_question",
+    "Endpoint",
+    "parse_endpoint",
     "remote_score",
     "RemoteScorer",
 ]
@@ -247,9 +251,14 @@ def grad_latent_fd(
 ) -> np.ndarray:
     """Central-difference gradient through the full pipeline.
 
-    Costs two pipeline passes per probed coordinate. ``coords`` limits
-    probing to a subset (remaining entries are zero), which is the probe
-    budget used against remote scorers. Default step is
+    The 2k probe latents of the k probed coordinates go through one
+    batched ``pipeline.forward``: row 2j bumps coordinate j by +h and row
+    2j+1 by -h. Every row of a batched forward has the bits of that
+    latent's forward alone, but a scorer need not be batch-exact, so
+    each probe sample is scored on its own, plus before minus, in
+    coordinate order. ``coords`` limits probing to a subset (remaining
+    entries are zero), which is the probe budget used against remote
+    scorers; no coordinate means no pass. Default step is
     1e-3 * (1 + max|z|).
     """
     z = np.asarray(z_T, dtype=np.float64)
@@ -257,14 +266,18 @@ def grad_latent_fd(
         h = DEFAULT_FD_STEP * (1.0 + float(np.max(np.abs(z))))
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
-    probe = range(z.size) if coords is None else coords
+    probe = np.arange(z.size) if coords is None else np.asarray(coords, dtype=np.intp)
     grad = np.zeros_like(z)
-    for i in probe:
-        bumped = z.copy()
-        bumped[i] = z[i] + h
-        plus = score_latent(bumped, pipeline, scorer)
-        bumped[i] = z[i] - h
-        minus = score_latent(bumped, pipeline, scorer)
+    if probe.size == 0:
+        return grad
+    bumped = np.repeat(z[None, :], 2 * probe.size, axis=0)
+    rows = np.arange(0, 2 * probe.size, 2)
+    bumped[rows, probe] = z[probe] + h
+    bumped[rows + 1, probe] = z[probe] - h
+    _, samples = pipeline.forward(bumped)
+    for j, i in enumerate(probe):
+        plus = checked_score(scorer, samples[2 * j])
+        minus = checked_score(scorer, samples[2 * j + 1])
         grad[i] = (plus - minus) / (2.0 * h)
     return grad
 
@@ -275,7 +288,8 @@ def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
     Needs the denoiser's closed-form Jacobian and the scorer's analytic
     gradient; cost is one pass plus T dense (d, d) matrix products. When
     the condition and the null condition are the same, each step evaluates
-    one Jacobian, as ``cfg_predict`` evaluates one prediction.
+    one Jacobian, as ``cfg_predict`` evaluates one prediction. A
+    Jacobian that turns non-finite raises NonFiniteError at that step.
     """
     z = np.asarray(z_T, dtype=np.float64)
     if z.ndim != 1:
@@ -295,6 +309,11 @@ def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
             scale = np.sqrt(ab_prev / ab_t)
             c_t = np.sqrt(1.0 - ab_prev) - scale * np.sqrt(1.0 - ab_t)
             jac = (scale * np.eye(z.size) + c_t * j_eps) @ jac
+            if not np.isfinite(jac).all():
+                bad = int(np.count_nonzero(~np.isfinite(jac)))
+                raise NonFiniteError(
+                    f"chain Jacobian has {bad} non-finite of {jac.size} entries at step t={t}"
+                )
             z = ddim_step(z, t, eps, sched)
     except NotImplementedError as exc:
         raise GradientUnavailableError(
@@ -335,8 +354,44 @@ def format_vqa_question(prompt: str) -> str:
     return f"Does this figure show '{prompt}'? Please answer yes or no."
 
 
+@dataclass(frozen=True)
+class Endpoint:
+    """A parsed score-service URL: the host and port to connect to, over
+    TLS or not, and the request target (path and query)."""
+
+    https: bool
+    host: str
+    port: int
+    target: str
+
+    def connect(self, timeout: float) -> http.client.HTTPConnection:
+        cls = http.client.HTTPSConnection if self.https else http.client.HTTPConnection
+        return cls(self.host, self.port, timeout=timeout)
+
+
+def parse_endpoint(url: str | Endpoint) -> Endpoint:
+    """The Endpoint of an ``http://`` or ``https://`` URL with a host and
+    no whitespace or control character; an Endpoint passes through.
+    Anything else is a ValueError."""
+    if isinstance(url, Endpoint):
+        return url
+    parts = urlsplit(url)
+    if (parts.scheme not in ("http", "https") or not parts.hostname
+            or any(c <= " " or c == "\x7f" for c in url)):
+        raise ValueError(f"expected an http:// or https:// URL with a host, got {url!r}")
+    https = parts.scheme == "https"
+    port = parts.port  # ValueError for a port that is not a number in range
+    if port is None:
+        # explicit, or http.client would read an IPv6 host's last group as a port
+        port = 443 if https else 80
+    # percent-encode what is not ASCII, as browsers do; escapes stay
+    target = quote((parts.path or "/") + (f"?{parts.query}" if parts.query else ""),
+                   safe="!#$%&'()*+,/:;=?@[]~")
+    return Endpoint(https, parts.hostname, port, target)
+
+
 def remote_score(
-    endpoint: str,
+    endpoint: str | Endpoint,
     sample,
     prompt: str,
     timeout: float,
@@ -344,36 +399,47 @@ def remote_score(
 ) -> float:
     """POST a sample to a score service and return its yes-probability.
 
-    Request body: {"sample": [...], "prompt": ..., "question": ...};
-    expected response: {"score": x} with x in [0, 1]. Timeouts, non-200
-    statuses, and malformed bodies raise ScorerUnavailableError after
-    ``retries`` additional attempts; an out-of-range score is a
-    deterministic contract violation and raises ScorerContractError on
-    the first answer, without a retry. Both are surfaced for the
-    optimizer to abort the epoch cleanly.
+    Request body: {"sample": [...], "prompt": ..., "question": ...} as
+    JSON; expected response: {"score": x} with x in [0, 1]. Each attempt
+    opens its own connection and closes it, so a retry never reads the
+    late answer of an attempt that timed out. Timeouts, connection
+    failures, non-200 statuses, and malformed bodies raise
+    ScorerUnavailableError after ``retries`` additional attempts; an
+    out-of-range score is a deterministic contract violation and raises
+    ScorerContractError on the first answer, without a retry. Both are
+    surfaced for the optimizer to abort the epoch cleanly.
     """
+    endpoint = parse_endpoint(endpoint)
     payload = {
         "sample": np.asarray(sample, dtype=np.float64).tolist(),
         "prompt": prompt,
         "question": format_vqa_question(prompt),
     }
+    try:
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise ScorerUnavailableError(f"sample cannot be sent as JSON: {exc}")
+    headers = {"Content-Type": "application/json", "Connection": "close"}
     attempts = max(1, retries + 1)
     last: Exception | None = None
     for _ in range(attempts):
+        conn = endpoint.connect(timeout)
         try:
-            resp = requests.post(endpoint, json=payload, timeout=timeout)
-            if resp.status_code != 200:
-                raise ScorerUnavailableError(f"score service returned HTTP {resp.status_code}")
-            body = resp.json()
-            value = float(body["score"])
-        except (requests.RequestException, json.JSONDecodeError) as exc:
+            conn.request("POST", endpoint.target, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
             last = ScorerUnavailableError(f"score service unreachable: {exc}")
             continue
+        finally:
+            conn.close()
+        if resp.status != 200:
+            last = ScorerUnavailableError(f"score service returned HTTP {resp.status}")
+            continue
+        try:
+            value = float(json.loads(data)["score"])
         except (KeyError, TypeError, ValueError) as exc:
             last = ScorerUnavailableError(f"malformed score response: {exc}")
-            continue
-        except ScorerUnavailableError as exc:
-            last = exc
             continue
         if not np.isfinite(value) or value < 0.0 or value > 1.0:
             raise ScorerContractError(f"remote score {value!r} outside [0, 1]")
@@ -383,17 +449,21 @@ def remote_score(
 
 
 class RemoteScorer(Scorer):
-    """Scorer backed by an HTTP score service; no analytic gradient."""
+    """Scorer backed by an HTTP score service; no analytic gradient. The
+    endpoint is parsed once, here."""
 
-    def __init__(self, endpoint: str, prompt: str, timeout: float = 1.0, retries: int = 1):
+    def __init__(
+        self, endpoint: str | Endpoint, prompt: str, timeout: float = 1.0, retries: int = 1
+    ):
         if not prompt:
             raise InvalidPromptError("prompt must be nonempty")
-        self.endpoint = endpoint
+        self.endpoint = parse_endpoint(endpoint)
         self.prompt = prompt
         self.timeout = timeout
         self.retries = retries
 
     def score(self, sample):
+        # looked up at call time, so a rebinding of remote_score applies
         return remote_score(
             self.endpoint, sample, self.prompt, self.timeout, self.retries
         )

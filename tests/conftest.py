@@ -3,6 +3,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 
@@ -13,9 +14,12 @@ class MockScoreService:
       constant     -> {"score": value}
       out-of-range -> {"score": 1.3}
       slow         -> sleeps ``delay`` seconds before answering
+      slow-first   -> the first request sleeps ``delay`` seconds and then
+                      answers {"score": 0.0}; later ones answer ``value``
       malformed    -> non-JSON body
       http-error   -> status 500
-    Requests received are recorded (payload dicts) for wire-format checks.
+    Requests received are recorded (payload dicts) for wire-format checks,
+    and each one's path, headers and raw body in ``raw``.
     """
 
     def __init__(self):
@@ -23,6 +27,7 @@ class MockScoreService:
         self.value = 0.7
         self.delay = 0.0
         self.requests = []
+        self.raw = []
 
         service = self
 
@@ -30,11 +35,13 @@ class MockScoreService:
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = self.rfile.read(length)
+                service.raw.append((self.path, dict(self.headers), body))
                 try:
                     service.requests.append(json.loads(body))
                 except json.JSONDecodeError:
                     service.requests.append(None)
-                if service.behavior == "slow":
+                first = len(service.requests) == 1
+                if service.behavior == "slow" or (service.behavior == "slow-first" and first):
                     time.sleep(service.delay)
                 try:
                     if service.behavior == "http-error":
@@ -45,6 +52,8 @@ class MockScoreService:
                         payload = b"not json"
                     elif service.behavior == "out-of-range":
                         payload = json.dumps({"score": 1.3}).encode()
+                    elif service.behavior == "slow-first" and first:
+                        payload = json.dumps({"score": 0.0}).encode()
                     else:
                         payload = json.dumps({"score": service.value}).encode()
                     self.send_response(200)
@@ -78,6 +87,7 @@ class MockScoreService:
         self.value = value
         self.delay = delay
         self.requests.clear()
+        self.raw.clear()
 
     def close(self):
         self._server.shutdown()
@@ -92,17 +102,21 @@ def score_service():
 
 
 class CountingPipeline:
-    """Stands in for a Pipeline and counts its forward passes."""
+    """Stands in for a Pipeline and counts its forward passes
+    (``forwards``) and the latents passed through them (``latents``: a
+    batch counts its rows)."""
 
     def __init__(self, pipeline):
         self.pipeline = pipeline
         self.forwards = 0
+        self.latents = 0
 
     def __getattr__(self, name):
         return getattr(self.pipeline, name)
 
     def forward(self, z_T):
         self.forwards += 1
+        self.latents += len(z_T) if np.ndim(z_T) > 1 else 1
         return self.pipeline.forward(z_T)
 
 

@@ -137,6 +137,25 @@ class TestRunExperiment:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
 
+    def test_rerun_with_fewer_seeds_leaves_no_stale_trajectory(self, tmp_path):
+        assert main(["run", str(small_config(tmp_path, epochs=1, seeds="0,1,2"))]) == 0
+        assert main(["run", str(small_config(tmp_path, epochs=1, seeds="1"))]) == 0
+        out = tmp_path / "out"
+        assert sorted(n for n in os.listdir(out) if n.startswith("trajectory_")) == [
+            "trajectory_seed1.csv"
+        ]
+        assert len((out / "summary.csv").read_text().splitlines()) == 2
+        assert len((out / "final_latents.csv").read_text().splitlines()) == 2
+
+    def test_rerun_failing_at_epoch_0_leaves_no_stale_artifact(self, tmp_path):
+        assert main(["run", str(small_config(tmp_path, epochs=1, seeds="0,1"))]) == 0
+        cfg_path = small_config(tmp_path, epochs=1, seeds="0,1")
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace("guidance.scale = 7.5", "guidance.scale = 1e300"))
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_path)]) == 4
+        assert os.listdir(tmp_path / "out") == ["config.resolved.txt"]
+
     def test_baseline_method_via_cli(self, tmp_path):
         cfg_path = small_config(tmp_path, method="random-diffusion", epochs=3, seeds="0")
         assert main(["run", str(cfg_path)]) == 0
@@ -205,6 +224,19 @@ class TestPlot:
         svg = emit_plot(paths, str(tmp_path / "cmp.svg"))
         assert len(re.findall(r"<polyline", svg)) == 2
         assert "random-sampling" in svg
+
+    def test_header_only_trajectory_skipped_with_a_note(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path, epochs=2, seeds="0")
+        main(["run", str(cfg_path)])
+        good = str(tmp_path / "out" / "trajectory_seed0.csv")
+        empty = tmp_path / "out" / "trajectory_seed1.csv"  # a seed that failed at epoch 0
+        empty.write_text(TRAJECTORY_HEADER + "\n")
+        svg_path = tmp_path / "plot.svg"
+        assert main(["plot", good, str(empty), "-o", str(svg_path)]) == 0
+        assert f"note: {empty}: trajectory CSV with no rows" in capsys.readouterr().err
+        assert svg_path.read_text() == emit_plot([good], str(tmp_path / "alone.svg"))
+        assert main(["plot", str(empty), "-o", str(tmp_path / "none.svg")]) == 2
+        assert not (tmp_path / "none.svg").exists()
 
     def test_empty_list_exit_2(self, tmp_path):
         assert main(["plot", "-o", str(tmp_path / "x.svg"), str(tmp_path / "missing.csv")]) == 2
@@ -378,6 +410,20 @@ class TestNonFiniteScorerGradient:
                    for line in status[1:])
         cols = read_trajectory_csv(str(tmp_path / "out" / "trajectory_seed0.csv"))
         assert cols["epoch"] == [0.0]  # the first gradient already failed
+
+
+class TestNonFiniteChainJacobian:
+    def test_run_exits_4(self, tmp_path, capsys, monkeypatch):
+        from noisediff.diffusion import AnalyticMixtureDenoiser
+
+        monkeypatch.setattr(AnalyticMixtureDenoiser, "predict_jacobian",
+                            lambda self, z, t, condition=None: np.full((self.dim,) * 2, np.inf))
+        cfg_path = small_config(tmp_path, epochs=2, seeds="0",
+                                extra="gradient.mode = analytic-chain\n")
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "NonFiniteError: chain Jacobian" in err
 
 
 class TestNonFinitePipelineOutput:

@@ -170,6 +170,14 @@ class TestBuilders:
         with pytest.raises(ConfigError, match=f"line 5: {key}"):
             ExperimentConfig.from_text(text + extra)
 
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:8000/score", "ftp://127.0.0.1/score", "http:///score", ""]
+    )
+    def test_remote_endpoint_validated(self, endpoint):
+        text = "method = random-sampling\ndim = 8\nscorer.type = remote\n"
+        with pytest.raises(ConfigError, match="line 4: scorer.remote.endpoint: expected an http"):
+            ExperimentConfig.from_text(text + f"scorer.remote.endpoint = {endpoint}\n")
+
     def test_linear_decoder_sets_sample_dim(self):
         text = MINIMAL + "decoder.type = linear\ndecoder.linear.rows = 3\n"
         cfg = ExperimentConfig.from_text(text)

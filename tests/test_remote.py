@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import noisediff
 from noisediff.errors import ScorerContractError, ScorerUnavailableError
-from noisediff.scoring import RemoteScorer, format_vqa_question, remote_score
+from noisediff.scoring import RemoteScorer, format_vqa_question, parse_endpoint, remote_score
 
 
 def test_constant_mock_roundtrip(score_service):
@@ -18,6 +24,64 @@ def test_wire_format(score_service):
     assert payload["sample"] == [1.0, -1.0, 0.5]
     assert payload["prompt"] == "a cat"
     assert payload["question"] == format_vqa_question("a cat")
+
+
+def test_wire_bytes(score_service):
+    score_service.reset(behavior="constant", value=0.4)
+    remote_score(score_service.endpoint, [1.0, -1.0, 0.5], "a cat", timeout=2.0)
+    payload = score_service.requests[-1]
+    # json.dumps with its default separators, as UTF-8
+    path, headers, body = score_service.raw[-1]
+    assert path == "/score"
+    assert body == json.dumps(payload).encode("utf-8")
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    assert int(headers["Content-Length"]) == len(body)
+
+
+def test_endpoint_with_query_string(score_service):
+    score_service.reset(behavior="constant", value=0.6)
+    endpoint = score_service.endpoint + "?model=vqa&v=1"
+    assert remote_score(endpoint, [0.0], "a cat", timeout=2.0) == 0.6
+    assert score_service.raw[-1][0] == "/score?model=vqa&v=1"
+
+
+def test_retry_after_timeout_returns_its_own_answer(score_service):
+    # the first attempt times out; its late answer (0.0) must not be read
+    score_service.reset(behavior="slow-first", value=0.35, delay=0.6)
+    assert remote_score(score_service.endpoint, [0.0], "a cat", timeout=0.2, retries=1) == 0.35
+    assert len(score_service.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["localhost:8000/score", "ftp://127.0.0.1/score", "http:///score", "http://h:99999/s",
+     "http://h/a b", ""],
+)
+def test_bad_endpoint_rejected(endpoint):
+    with pytest.raises(ValueError):
+        parse_endpoint(endpoint)
+    with pytest.raises(ValueError):
+        RemoteScorer(endpoint, "a cat")
+
+
+def test_endpoint_parts():
+    ep = parse_endpoint("https://[::1]/score?x=%20é")
+    assert (ep.https, ep.host, ep.port, ep.target) == (True, "::1", 443, "/score?x=%20%C3%A9")
+    assert parse_endpoint(ep) is ep
+    assert parse_endpoint("http://Example.org:8080").target == "/"
+
+
+def test_import_loads_no_http_library():
+    src = os.path.dirname(os.path.dirname(noisediff.__file__))
+    code = (
+        "import sys, noisediff, noisediff.cli; "
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_out_of_range_is_contract_violation(score_service):
@@ -61,7 +125,7 @@ class TestRemoteViaCli:
     """Score-only methods must run end-to-end against a live service and
     fail with exit 3 when the service misbehaves."""
 
-    def _config(self, tmp_path, service, timeout_ms=2000):
+    def _config(self, tmp_path, endpoint, timeout_ms=2000):
         text = (
             "method = random-sampling\n"
             "dim = 8\n"
@@ -70,7 +134,7 @@ class TestRemoteViaCli:
             f"output = {tmp_path / 'out'}\n"
             "timesteps = 5\n"
             "scorer.type = remote\n"
-            f"scorer.remote.endpoint = {service.endpoint}\n"
+            f"scorer.remote.endpoint = {endpoint}\n"
             f"scorer.remote.timeout_ms = {timeout_ms}\n"
             "scorer.remote.retries = 1\n"
             "scorer.prompt = a lion and a monkey\n"
@@ -83,7 +147,7 @@ class TestRemoteViaCli:
         from noisediff.cli import main
 
         score_service.reset(behavior="constant", value=0.7)
-        cfg = self._config(tmp_path, score_service)
+        cfg = self._config(tmp_path, score_service.endpoint)
         assert main(["run", str(cfg)]) == 0
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[1].split(",")[1] == "0.7"
@@ -92,17 +156,25 @@ class TestRemoteViaCli:
         from noisediff.cli import main
 
         score_service.reset(behavior="slow", delay=1.0)
-        cfg = self._config(tmp_path, score_service, timeout_ms=100)
+        cfg = self._config(tmp_path, score_service.endpoint, timeout_ms=100)
         assert main(["run", str(cfg)]) == 3
         status = (tmp_path / "out" / "status.txt").read_text()
         assert status.startswith("incomplete")
         assert "ScorerUnavailableError" in status
         assert (tmp_path / "out" / "trajectory_seed0.csv").exists()
 
+    def test_endpoint_without_scheme_exit_2(self, tmp_path, capsys):
+        from noisediff.cli import main
+
+        cfg = self._config(tmp_path, "localhost:8000/score")
+        assert main(["run", str(cfg)]) == 2
+        assert "line 8: scorer.remote.endpoint:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_exit_3(self, tmp_path, score_service):
         from noisediff.cli import main
 
         score_service.reset(behavior="out-of-range")
-        cfg = self._config(tmp_path, score_service)
+        cfg = self._config(tmp_path, score_service.endpoint)
         assert main(["run", str(cfg)]) == 3
         assert "ScorerContractError" in (tmp_path / "out" / "status.txt").read_text()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisediff.diffusion import (
     AnalyticMixtureDenoiser,
@@ -15,10 +17,12 @@ from noisediff.diffusion import (
 from noisediff.errors import (
     GradientUnavailableError,
     InvalidPromptError,
+    NonFiniteError,
     ScorerContractError,
 )
 from noisediff.latents import RngStream
 from noisediff.scoring import (
+    DEFAULT_FD_STEP,
     CompositeTargetScorer,
     GradientMode,
     QuadraticSigmoidScorer,
@@ -282,7 +286,109 @@ class TestGradLatentFd:
             grad_latent_fd(np.zeros(3), identity_pipeline(3), AffineScorer(np.zeros(3)), h=0.0)
 
 
+def fd_per_probe(z, pipeline, scorer, h, coords):
+    """Reference for ``grad_latent_fd``: every probe latent through its
+    own forward, scored plus before minus in coordinate order."""
+    if h is None:
+        h = DEFAULT_FD_STEP * (1.0 + float(np.max(np.abs(z))))
+    grad = np.zeros_like(z)
+    for i in range(z.size) if coords is None else coords:
+        bumped = z.copy()
+        bumped[i] = z[i] + h
+        plus = score_latent(bumped, pipeline, scorer)
+        bumped[i] = z[i] - h
+        minus = score_latent(bumped, pipeline, scorer)
+        grad[i] = (plus - minus) / (2.0 * h)
+    return grad
+
+
+class RecordingScorer(Scorer):
+    def __init__(self):
+        self.samples = []
+
+    def score(self, sample):
+        self.samples.append(np.array(sample, copy=True))
+        return 0.5
+
+
+class TestGradLatentFdBatched:
+    """The probes of one gradient go through one batched forward and
+    give the bits of the per-probe loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dim=st.integers(min_value=1, max_value=12),
+        timesteps=st.integers(min_value=1, max_value=8),
+        rows=st.integers(min_value=0, max_value=6),
+        h=st.none() | st.floats(min_value=1e-6, max_value=0.5),
+        data=st.data(),
+    )
+    def test_equals_per_probe_loop(self, seed, dim, timesteps, rows, h, data):
+        gen = RngStream(seed, "fd-batch").generator()
+        sched = build_schedule(timesteps)
+        comps = [
+            MixtureComponent(float(gen.uniform(0.1, 1.0)), gen.standard_normal(dim),
+                             float(gen.uniform(0.2, 3.0)))
+            for _ in range(2)
+        ]
+        # the condition differs from the null condition: two passes per step
+        guidance = GuidanceConfig(w=float(gen.uniform(-2.0, 8.0)), condition="c")
+        decoder = (
+            IdentityDecoder()
+            if rows == 0
+            else LinearDecoder(gen.standard_normal((rows, dim)), gen.standard_normal(rows))
+        )
+        pipe = Pipeline(AnalyticMixtureDenoiser(comps, sched, {"c": [0]}), guidance, sched,
+                        decoder)
+        sdim = rows or dim
+        scorer = CompositeTargetScorer(
+            [TargetGroup(tuple(range(sdim)), gen.standard_normal(sdim), 2.0, 1.5)]
+        )
+        z = gen.standard_normal(dim)
+        coords = data.draw(
+            st.none() | st.lists(st.integers(0, dim - 1), unique=True).map(sorted)
+        )
+        np.testing.assert_array_equal(
+            grad_latent_fd(z, pipe, scorer, h=h, coords=coords),
+            fd_per_probe(z, pipe, scorer, h, coords),
+        )
+
+    def test_one_forward_scored_plus_before_minus(self, counting_pipeline):
+        z = np.array([0.5, -1.0, 2.0, 0.25])
+        counted = counting_pipeline(identity_pipeline(4))
+        sc = RecordingScorer()
+        grad_latent_fd(z, counted, sc, h=0.125, coords=[3, 0])
+        assert (counted.forwards, counted.latents) == (1, 4)
+        expected = []
+        for i in (3, 0):
+            for sign in (1.0, -1.0):
+                bumped = z.copy()
+                bumped[i] += sign * 0.125
+                expected.append(bumped)
+        np.testing.assert_array_equal(sc.samples, expected)
+
+    def test_no_probe_runs_no_forward(self, counting_pipeline):
+        counted = counting_pipeline(identity_pipeline(3))
+        sc = RecordingScorer()
+        g = grad_latent_fd(np.ones(3), counted, sc, coords=[])
+        np.testing.assert_array_equal(g, np.zeros(3))
+        assert counted.forwards == 0 and sc.samples == []
+
+
+class NaNJacobianDenoiser(ConstantDenoiser):
+    def predict_jacobian(self, z, t, condition=None):
+        return np.full((self.dim, self.dim), np.nan)
+
+
 class TestGradLatentChain:
+    def test_nonfinite_jacobian_raises(self):
+        sched = build_schedule(5)
+        pipe = Pipeline(NaNJacobianDenoiser(np.zeros(4)), GuidanceConfig(w=7.5), sched)
+        sc = QuadraticSigmoidScorer(target=np.zeros(4), sharpness=0.2)
+        with pytest.raises(NonFiniteError, match="chain Jacobian .* t=5"):
+            grad_latent_chain(np.ones(4), pipe, sc)
+
     def test_matches_fd_on_mixture_pipeline(self):
         pipe, sc = _mixture_setup()
         gen = RngStream(7, "chain").generator()
