@@ -9,7 +9,7 @@ analytic bound is available as the sound reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,11 +178,4 @@ def distribution_report(z) -> DistributionReport:
     """Moments plus KS normality in one report (needs dim >= 8)."""
     moments = moment_diagnostics(z)
     ks_stat, ks_pvalue = ks_normality(z)
-    return DistributionReport(
-        mean=moments.mean,
-        variance=moments.variance,
-        skewness=moments.skewness,
-        excess_kurtosis=moments.excess_kurtosis,
-        ks_stat=ks_stat,
-        ks_pvalue=ks_pvalue,
-    )
+    return replace(moments, ks_stat=ks_stat, ks_pvalue=ks_pvalue)

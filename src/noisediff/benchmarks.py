@@ -8,6 +8,8 @@ verification suite:
 * ``composite_benchmark`` — two attribute groups that must both be
   satisfied (the stand-in for compositional prompts), over a two-mode
   guided mixture pipeline; used for the method-ordering comparisons.
+  It is defined once, as the config text ``composite_benchmark_config``
+  writes.
 * ``preservation_benchmark`` — a d=1024 variant whose score touches two
   16-coordinate groups, used to audit that the optimizer's latents stay
   standard-normal.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .diffusion import (
     AnalyticMixtureDenoiser,
     GuidanceConfig,
@@ -51,36 +54,13 @@ def quadratic_benchmark(dim: int = 16, timesteps: int = 10):
     return _unit_pipeline(dim, timesteps), scorer
 
 
-def _composite_targets():
-    t_a = RngStream(101, "tA").normal(8)
-    t_a *= 3.0 / np.linalg.norm(t_a)
-    t_b = RngStream(102, "tB").normal(8)
-    t_b *= 3.0 / np.linalg.norm(t_b)
-    return t_a, t_b
-
-
 def composite_benchmark(timesteps: int = 10):
     """(pipeline, scorer), d = 16: guided two-mode mixture pipeline and a
-    two-attribute product scorer."""
-    dim = 16
-    sched = build_schedule(timesteps)
-    den = AnalyticMixtureDenoiser(
-        [
-            MixtureComponent(0.6, RngStream(201, "m0").normal(dim) * 0.8, 1.0),
-            MixtureComponent(0.4, RngStream(202, "m1").normal(dim) * 0.8, 1.0),
-        ],
-        sched,
-        {"prompt": [0]},
-    )
-    pipeline = Pipeline(den, GuidanceConfig(w=7.5, condition="prompt"), sched)
-    t_a, t_b = _composite_targets()
-    scorer = CompositeTargetScorer(
-        [
-            TargetGroup(tuple(range(0, 8)), t_a, 3.2, 1.6),
-            TargetGroup(tuple(range(8, 16)), t_b, 3.2, 1.6),
-        ]
-    )
-    return pipeline, scorer
+    two-attribute product scorer, built from ``composite_benchmark_config``
+    by ``ExperimentConfig.from_text``. Like every config, it raises
+    ConfigError when NOISEDIFF_SEED is set but not an integer."""
+    config = ExperimentConfig.from_text(composite_benchmark_config(seeds=[0], timesteps=timesteps))
+    return config.pipeline, config.scorer
 
 
 def preservation_benchmark(timesteps: int = 10):
@@ -114,7 +94,10 @@ def composite_benchmark_config(
     dim = 16
     m0 = RngStream(201, "m0").normal(dim) * 0.8
     m1 = RngStream(202, "m1").normal(dim) * 0.8
-    t_a, t_b = _composite_targets()
+    t_a = RngStream(101, "tA").normal(8)
+    t_a *= 3.0 / np.linalg.norm(t_a)
+    t_b = RngStream(102, "tB").normal(8)
+    t_b *= 3.0 / np.linalg.norm(t_b)
     lines = [
         f"method = {method}",
         f"dim = {dim}",

@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
-Subcommands: run, sweep, plot, diagnose. Exit codes: 0 ok, 2 config or
-schema error, 3 external scorer failure, 4 non-finite sampler output.
-The NOISEDIFF_SEED environment variable overrides the configured seed
-list with a single seed.
+Subcommands: run, sweep, plot, diagnose. Exit codes: 0 ok, 2 config,
+schema or unwritable-output error, 3 external scorer failure, 4
+non-finite sampler output. The NOISEDIFF_SEED environment variable
+overrides the configured seed list with a single seed.
 """
 
 from __future__ import annotations

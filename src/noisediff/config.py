@@ -281,8 +281,7 @@ class ExperimentConfig:
         """The configured method's settings. The keys of every method are
         read and validated whatever the method, as every other key is."""
         r = self._reader
-        mode = GradientMode(r.choice("gradient.mode", tuple(m.value for m in GradientMode),
-                                      "approx-constant-eps"))
+        mode = r.choice("gradient.mode", [m.value for m in GradientMode], "approx-constant-eps")
         v_norm_guard = r.float("v_norm_guard", "1e-12")
         fd_step = r.float("gradient.fd_step", "")
         if fd_step is not None and fd_step <= 0.0:

@@ -236,6 +236,8 @@ class AnalyticMixtureDenoiser(DenoiserModel):
         other schedule (or a t or condition without a table, which then
         raises) gets its constants computed afresh.
         """
+        if t < 1:
+            raise ScheduleError(f"noise prediction needs t >= 1, got {t}")
         sched = self.schedule if sched is None else sched
         table = self._tables.get((t, condition)) if sched is self._table_schedule else None
         if table is None:
@@ -256,8 +258,6 @@ class AnalyticMixtureDenoiser(DenoiserModel):
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 1:
             raise DimensionError("jacobian is defined for a single latent")
-        if t < 1:
-            raise ScheduleError(f"noise prediction needs t >= 1, got {t}")
         resp, diff, table = self._responsibilities(z, t, condition)
         variances = table.variances
         comp_scores = -diff / variances[:, None]  # (K, d)
@@ -280,8 +280,6 @@ def analytic_mixture_eps(
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != den.dim:
         raise DimensionError(f"latent dim {z.shape[-1]} != model dim {den.dim}")
-    if t < 1:
-        raise ScheduleError(f"noise prediction needs t >= 1, got {t}")
     resp, diff, table = den._responsibilities(z, t, condition, sched)
     score = np.einsum("...k,...kd->...d", resp, -diff / table.variances[:, None])
     return table.eps_scale * score

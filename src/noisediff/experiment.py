@@ -67,9 +67,13 @@ def _fmt(value) -> str:
 
 
 def _write(path: str, lines) -> None:
-    """Write one artifact, each line ending in a newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write one artifact, each line ending in a newline; a write that
+    fails is a ConfigError naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}")
 
 
 def _latents_header(dim: int) -> str:
@@ -190,13 +194,16 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     outlives a rerun with fewer seeds or one that fails early.
     """
     out_dir = output if output is not None else config.output
-    os.makedirs(out_dir, exist_ok=True)
     owned = glob.glob(os.path.join(glob.escape(out_dir), "trajectory_seed*.csv"))
     for name in ("summary.csv", "final_latents.csv", "status.txt"):
         owned.append(os.path.join(out_dir, name))
-    for path in owned:
-        if os.path.isfile(path):
-            os.remove(path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path in owned:
+            if os.path.isfile(path):
+                os.remove(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot prepare output directory {out_dir!r}: {exc}")
     _write(os.path.join(out_dir, "config.resolved.txt"), config.resolved_text().splitlines())
 
     result = ExperimentResult(exit_code=EXIT_OK, output_dir=out_dir)
@@ -250,8 +257,6 @@ def run_sweep(
     if len(set(values)) < len(values):
         raise ConfigError(f"each sweep value may appear once, got {values}")
     out_dir = output if output is not None else config.output
-    os.makedirs(out_dir, exist_ok=True)
-
     exit_code = EXIT_OK
     lines = [SWEEP_HEADER]
     for value in values:

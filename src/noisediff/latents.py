@@ -252,8 +252,6 @@ def sample_standard_normal(rng: RngStream, dim: int) -> np.ndarray:
 
     Deterministic given (seed, label); ``dim == 0`` is an error.
     """
-    if dim < 1:
-        raise DimensionError(f"latent dimension must be >= 1, got {dim}")
     return rng.normal(dim)
 
 

@@ -49,8 +49,23 @@ __all__ = [
 BASELINE_METHODS = ("pgd", "mean-variance", "random-sampling", "random-diffusion")
 
 
+@dataclass(frozen=True, kw_only=True)
+class _GradientSettings:
+    """The gradient and logging settings both method configs share; a
+    string ``gradient_mode`` becomes its ``GradientMode``."""
+
+    gradient_mode: GradientMode = GradientMode.APPROX_CONSTANT_EPS
+    fd_step: float | None = None
+    fd_budget: int | None = None
+    record_latents: bool = False
+
+    def __post_init__(self):
+        # a plain string would slip past the identity test on the mode
+        object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
+
+
 @dataclass(frozen=True)
-class NoiseDiffusionConfig:
+class NoiseDiffusionConfig(_GradientSettings):
     """Knobs for the main optimizer.
 
     ``strict_improvement`` (extension, off by default) skips epochs whose
@@ -59,16 +74,11 @@ class NoiseDiffusionConfig:
 
     epochs: int = 50  # M
     candidates: int = 50  # N
-    gradient_mode: GradientMode = GradientMode.APPROX_CONSTANT_EPS
     v_norm_guard: float = 1e-12
-    fd_step: float | None = None
-    fd_budget: int | None = None
     strict_improvement: bool = False
-    record_latents: bool = False
 
     def __post_init__(self):
-        # a plain string would slip past the identity test on the mode
-        object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
+        super().__post_init__()
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.candidates < 1:
@@ -78,7 +88,7 @@ class NoiseDiffusionConfig:
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(_GradientSettings):
     method: str
     pgd_step: float = 0.05
     pgd_radius: float = 0.5
@@ -86,13 +96,9 @@ class BaselineConfig:
     mv_beta1: float = 0.9
     mv_beta2: float = 0.999
     mv_epsilon: float = 1e-8
-    gradient_mode: GradientMode = GradientMode.APPROX_CONSTANT_EPS
-    fd_step: float | None = None
-    fd_budget: int | None = None
-    record_latents: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
+        super().__post_init__()
         if self.method not in BASELINE_METHODS:
             raise ValueError(f"unknown baseline {self.method!r}")
         if self.pgd_step < 0.0 or self.pgd_radius <= 0.0:
@@ -166,27 +172,31 @@ def step_size_gamma(s: float) -> float:
     return 1.0 - float(np.sqrt(s))
 
 
+def _update_inputs(z, gamma: float, sigma, rows: bool = False):
+    """``z`` and ``sigma`` as float64 arrays, after checking that sigma
+    has z's shape (each of its rows does, with ``rows``) and that gamma
+    is in [0, 1]."""
+    z = np.asarray(z, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    shape = sigma.shape[1:] if rows else sigma.shape
+    if z.shape != shape:
+        raise DimensionError(f"shape mismatch: {z.shape} vs {shape}")
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidScoreError(f"gamma must be in [0, 1], got {gamma!r}")
+    return z, sigma
+
+
 def step_difference(z, gamma: float, sigma) -> np.ndarray:
     """v = (sqrt(1 - gamma) - 1) z + sqrt(gamma) sigma, the displacement
     the update would produce."""
-    z = np.asarray(z, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if z.shape != sigma.shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {sigma.shape}")
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidScoreError(f"gamma must be in [0, 1], got {gamma!r}")
+    z, sigma = _update_inputs(z, gamma, sigma)
     return (np.sqrt(1.0 - gamma) - 1.0) * z + np.sqrt(gamma) * sigma
 
 
 def apply_update(z, gamma: float, sigma) -> np.ndarray:
     """z' = sqrt(1 - gamma) z + sqrt(gamma) sigma; standard-normal in,
     standard-normal out, for any gamma in [0, 1]."""
-    z = np.asarray(z, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if z.shape != sigma.shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {sigma.shape}")
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidScoreError(f"gamma must be in [0, 1], got {gamma!r}")
+    z, sigma = _update_inputs(z, gamma, sigma)
     return np.sqrt(1.0 - gamma) * z + np.sqrt(gamma) * sigma
 
 
@@ -206,15 +216,11 @@ def select_noise(
     if len(candidates) == 0:
         raise DegenerateStepError("no candidate noises to select from")
     grad = np.asarray(grad, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
     try:
         sigmas = np.asarray(candidates, dtype=np.float64)
     except ValueError as exc:
         raise DimensionError(f"candidates of unequal shapes: {exc}") from exc
-    if sigmas.shape[1:] != z.shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {sigmas.shape[1:]}")
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidScoreError(f"gamma must be in [0, 1], got {gamma!r}")
+    z, sigmas = _update_inputs(z, gamma, sigmas, rows=True)
     # one (N, d) temporary, added to in place (IEEE addition commutes, so
     # the bits are those of the per-vector formula)
     steps = np.sqrt(gamma) * sigmas
@@ -261,7 +267,7 @@ class _Seed:
             return None
 
 
-def _gradient(z, pipeline, scorer, cfg, rng: RngStream, epoch, forward):
+def _gradient(z, pipeline, scorer, cfg: _GradientSettings, rng: RngStream, epoch, forward):
     """``latent_gradient`` in ``cfg``'s mode, and its norm. With a probe
     budget below the dimension, finite differences probe a seeded
     coordinate subset drawn afresh each epoch."""

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError
-from .experiment import read_run_method, read_trajectory_csv
+from .experiment import _write, read_run_method, read_trajectory_csv
 
 __all__ = ["emit_plot", "group_by_method"]
 
@@ -123,7 +123,5 @@ def emit_plot(csv_paths, output_path: str) -> str:
             f'<text x="{x1 + 40}" y="{ly + 4}" font-size="11">{method}</text>'
         )
     parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    with open(output_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return svg
+    _write(output_path, parts)
+    return "\n".join(parts) + "\n"

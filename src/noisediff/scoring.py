@@ -455,8 +455,7 @@ class RemoteScorer(Scorer):
     def __init__(
         self, endpoint: str | Endpoint, prompt: str, timeout: float = 1.0, retries: int = 1
     ):
-        if not prompt:
-            raise InvalidPromptError("prompt must be nonempty")
+        format_vqa_question(prompt)  # rejects an empty prompt
         self.endpoint = parse_endpoint(endpoint)
         self.prompt = prompt
         self.timeout = timeout

@@ -436,3 +436,34 @@ class TestNonFinitePipelineOutput:
         err = capsys.readouterr().err
         assert "NonFiniteError" in err
         assert "ScorerContractError" not in err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be created or written is one exit-2
+    error line naming the path, not a traceback."""
+
+    def _one_error_line(self, capsys, path):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(str(path)) in err[0]
+
+    def test_run_into_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        assert main(["run", str(small_config(tmp_path, epochs=1)), "-o", str(target)]) == 2
+        self._one_error_line(capsys, target)
+        assert target.read_text() == "not a directory\n"
+
+    def test_sweep_into_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        args = ["sweep", str(small_config(tmp_path, epochs=1)), "--axis", "T", "--values", "3"]
+        assert main(args + ["-o", str(target)]) == 2
+        self._one_error_line(capsys, target / "T3")
+
+    def test_plot_into_a_missing_directory(self, tmp_path, capsys):
+        assert main(["run", str(small_config(tmp_path, epochs=1, seeds="0"))]) == 0
+        capsys.readouterr()
+        svg = tmp_path / "missing" / "x.svg"
+        assert main(["plot", str(tmp_path / "out" / "trajectory_seed0.csv"), "-o", str(svg)]) == 2
+        self._one_error_line(capsys, svg)
+        assert not svg.parent.exists()

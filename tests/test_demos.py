@@ -1,4 +1,4 @@
-"""The demos that call both optimizer entry points run to completion.
+"""Every demo runs to completion.
 
 Each demo is copied into a temporary directory first, because demo 05
 writes ``comparison.svg`` next to itself.
@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["04_noise_diffusion_run.py", "05_method_comparison.py", "06_feasibility_analysis.py"],
+    ["01_latents_and_diagnostics.py", "02_ddim_pipeline.py", "03_gradients.py",
+     "04_noise_diffusion_run.py", "05_method_comparison.py", "06_feasibility_analysis.py"],
 )
 def test_demo_runs(demo, tmp_path):
     script = tmp_path / demo

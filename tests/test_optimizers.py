@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -612,3 +614,65 @@ class TestGradientModeSpelling:
             NoiseDiffusionConfig(gradient_mode="newton")
         with pytest.raises(ValueError):
             BaselineConfig(method="pgd", gradient_mode="newton")
+
+
+_GAMMAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _update_problem(draw):
+    d = draw(st.integers(1, 12))
+    vec = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=d, max_size=d)
+    z, sigma = draw(vec), draw(vec)
+    if draw(st.booleans()):
+        z, sigma = np.array(z), np.array(sigma)
+    return z, draw(_GAMMAS), sigma
+
+
+class TestUpdateProperties:
+    """The update functions against per-coordinate reference formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_update_problem())
+    def test_update_and_difference_equal_the_formulas(self, problem):
+        z, gamma, sigma = problem
+        keep, mix = math.sqrt(1.0 - gamma), math.sqrt(gamma)
+        update = np.array([keep * a + mix * b for a, b in zip(z, sigma)])
+        difference = np.array([(keep - 1.0) * a + mix * b for a, b in zip(z, sigma)])
+        assert apply_update(z, gamma, sigma).tobytes() == update.tobytes()
+        assert step_difference(z, gamma, sigma).tobytes() == difference.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_selection_problem())
+    def test_selected_row_steps_by_step_difference(self, problem):
+        grad, z, gamma, rows = problem
+        try:
+            index, ratio = select_noise(grad, z, gamma, np.stack(rows))
+        except DegenerateStepError:
+            return
+        v = step_difference(z, gamma, rows[index])
+        assert float(v @ v) >= 1e-12
+        assert float(grad @ v) / float(v @ v) == ratio  # same bits
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(gamma=_GAMMAS, seed=st.integers(0, 2**32 - 1))
+    def test_update_keeps_mean_zero_and_variance_one(self, gamma, seed):
+        n = 20_000
+        gen = np.random.default_rng(seed)
+        out = apply_update(gen.standard_normal(n), gamma, gen.standard_normal(n))
+        assert abs(out.mean()) < 5.0 / math.sqrt(n)
+        assert abs(out.var(ddof=1) - 1.0) < 5.0 * math.sqrt(2.0 / (n - 1))
+
+
+class TestSharedGradientSettings:
+    def test_positional_method_and_keyword_fields(self):
+        cfg = BaselineConfig("pgd", fd_budget=3, fd_step=1e-3, record_latents=True)
+        assert (cfg.method, cfg.fd_budget, cfg.fd_step, cfg.record_latents) == (
+            "pgd", 3, 1e-3, True
+        )
+        assert cfg.gradient_mode is GradientMode.APPROX_CONSTANT_EPS
+        nd = NoiseDiffusionConfig(epochs=2, candidates=3, gradient_mode="finite-difference",
+                                  fd_budget=3)
+        assert (nd.epochs, nd.candidates, nd.fd_budget) == (2, 3, 3)
+        assert nd == NoiseDiffusionConfig(epochs=2, candidates=3, fd_budget=3,
+                                          gradient_mode=GradientMode.FINITE_DIFFERENCE)
