@@ -30,7 +30,6 @@ from .diffusion import (
     MixtureComponent,
     NoiseSchedule,
     Pipeline,
-    analytic_mixture_eps,
     build_schedule,
     cfg_predict,
     ddim_step,

@@ -24,6 +24,7 @@ __all__ = [
     "check_improvement_condition",
     "selection_ratio",
     "ratio_quartiles",
+    "quartiles",
     "distribution_report",
 ]
 
@@ -161,11 +162,12 @@ def selection_ratio(grad, v, v_norm_guard: float = 1e-12) -> float:
 
 
 def ratio_quartiles(trajectories) -> tuple[float, float, float]:
-    """(Q1, median, Q3) of all selected ratios across trajectories,
-    linearly interpolated."""
-    ratios: list[float] = []
-    for record in trajectories:
-        ratios.extend(record.selected_ratios())
+    """:func:`quartiles` of all selected ratios across trajectories."""
+    return quartiles([r for record in trajectories for r in record.selected_ratios()])
+
+
+def quartiles(ratios) -> tuple[float, float, float]:
+    """(Q1, median, Q3) of at least four ratios, linearly interpolated."""
     if len(ratios) < 4:
         raise InsufficientSampleError(
             f"quartiles need at least 4 ratios, got {len(ratios)}"

@@ -13,11 +13,10 @@ import sys
 
 import numpy as np
 
-from .analysis import distribution_report, ratio_quartiles
+from .analysis import distribution_report, quartiles
 from .config import load_config
 from .errors import ConfigError, InsufficientSampleError, NonFiniteError
 from .experiment import EXIT_CONFIG, EXIT_NONFINITE, read_csv, run_experiment, run_sweep
-from .optimizers import TrajectoryRecord, EpochRow
 from .plotting import emit_plot
 
 
@@ -95,12 +94,7 @@ def _diagnose_trajectory(cols):
     print(f"best-score monotone: {'yes' if monotone else 'NO'}")
     ratios = [r for r in cols["selected_ratio"] if np.isfinite(r)]
     if len(ratios) >= 4:
-        rec = TrajectoryRecord(method="diagnose")
-        rec.rows = [
-            EpochRow(epoch=i, score=0.0, best_score=0.0, selected_ratio=r)
-            for i, r in enumerate(ratios)
-        ]
-        q1, med, q3 = ratio_quartiles([rec])
+        q1, med, q3 = quartiles(ratios)
         print(f"selected ratio quartiles: Q1={q1:.6f} median={med:.6f} Q3={q3:.6f}")
     else:
         print("selected ratio quartiles: not enough recorded ratios")

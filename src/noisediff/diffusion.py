@@ -23,7 +23,6 @@ __all__ = [
     "ConstantDenoiser",
     "MixtureComponent",
     "AnalyticMixtureDenoiser",
-    "analytic_mixture_eps",
     "GuidanceConfig",
     "cfg_predict",
     "ddim_step",
@@ -39,33 +38,29 @@ DEFAULT_BETA_END = 0.02
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Variance schedule: betas[i] is beta_{i+1}; alpha_bars has length T+1."""
+    """Variance schedule as its cumulative products alpha_bars[0..T]: 1 at
+    t = 0, then strictly decreasing and positive, so every implied beta_t
+    lies in (0, 1). Two schedules are equal when their alpha_bars are."""
 
-    betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
     def __post_init__(self):
-        for name in ("betas", "alphas", "alpha_bars"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        T = self.betas.size
-        if self.alphas.size != T or self.alpha_bars.size != T + 1:
-            raise ScheduleError("schedule arrays have inconsistent lengths")
-        if T and not np.all((self.betas > 0.0) & (self.betas < 1.0)):
-            raise ScheduleError("betas must lie strictly inside (0, 1)")
-        if self.alpha_bars[0] != 1.0:
+        alpha_bars = np.asarray(self.alpha_bars, dtype=np.float64)
+        alpha_bars.setflags(write=False)
+        object.__setattr__(self, "alpha_bars", alpha_bars)
+        if alpha_bars.ndim != 1 or alpha_bars.size == 0 or alpha_bars[0] != 1.0:
             raise ScheduleError("alpha_bar at t=0 must be exactly 1")
-        if T and not np.all(np.diff(self.alpha_bars) < 0.0):
-            raise ScheduleError("alpha_bar must be strictly decreasing")
-        expected = self.alpha_bars[:-1] * self.alphas
-        if T and not np.allclose(self.alpha_bars[1:], expected, rtol=1e-12, atol=0.0):
-            raise ScheduleError("alpha_bars is not the running product of alphas")
+        if not (np.all(np.diff(alpha_bars) < 0.0) and alpha_bars[-1] > 0.0):
+            raise ScheduleError("alpha_bar must be strictly decreasing and positive")
+
+    def __eq__(self, other):
+        if not isinstance(other, NoiseSchedule):
+            return NotImplemented
+        return np.array_equal(self.alpha_bars, other.alpha_bars)
 
     @property
     def T(self) -> int:
-        return self.betas.size
+        return self.alpha_bars.size - 1
 
     def alpha_bar(self, t: int) -> float:
         if not 0 <= t <= self.T:
@@ -75,7 +70,7 @@ class NoiseSchedule:
     @classmethod
     def degenerate(cls) -> "NoiseSchedule":
         """T = 0 schedule: the pipeline reduces to the decoder alone."""
-        return cls(np.empty(0), np.empty(0), np.ones(1))
+        return cls(np.ones(1))
 
 
 def build_schedule(
@@ -90,10 +85,8 @@ def build_schedule(
         raise ScheduleError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    betas = np.linspace(beta_start, beta_end, T)
-    alphas = 1.0 - betas
-    alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
-    return NoiseSchedule(betas, alphas, alpha_bars)
+    alphas = 1.0 - np.linspace(beta_start, beta_end, T)
+    return NoiseSchedule(np.concatenate([[1.0], np.cumprod(alphas)]))
 
 
 def forward_diffuse(z0, t: int, noise, sched: NoiseSchedule) -> np.ndarray:
@@ -181,9 +174,10 @@ class AnalyticMixtureDenoiser(DenoiserModel):
     renormalized); the null condition (None) uses all of them.
 
     The per-step constants of every condition are tabulated once at
-    construction, for t = 1..T of ``schedule``, and never rebuilt: the
-    components and each condition's indices are stored as tuples, and
-    the condition map must not be changed afterwards.
+    construction, for t = 1..T of ``schedule``, and are the only source
+    of its predictions: the schedule is read-only, the components and
+    each condition's indices are stored as tuples, and the condition map
+    must not be changed afterwards.
     """
 
     def __init__(self, components, schedule: NoiseSchedule, condition_map=None):
@@ -194,19 +188,22 @@ class AnalyticMixtureDenoiser(DenoiserModel):
         if len(dims) != 1:
             raise DimensionError(f"component means disagree on dim: {sorted(dims)}")
         self.dim = dims.pop()
-        self.schedule = schedule
+        self._schedule = schedule
         self.condition_map = {name: tuple(idxs) for name, idxs in (condition_map or {}).items()}
         for name, idxs in self.condition_map.items():
             if not idxs:
                 raise UnknownConditionError(f"condition {name!r} maps to no components")
             if any(i < 0 or i >= len(self.components) for i in idxs):
                 raise UnknownConditionError(f"condition {name!r} has out-of-range indices")
-        self._table_schedule = schedule
         self._tables = {
-            (t, c): self._table(schedule, t, c)
+            (t, c): self._table(t, c)
             for c in (None, *self.condition_map)
             for t in range(1, schedule.T + 1)
         }
+
+    @property
+    def schedule(self) -> NoiseSchedule:
+        return self._schedule
 
     def active_indices(self, condition) -> list[int]:
         if condition is None:
@@ -215,8 +212,8 @@ class AnalyticMixtureDenoiser(DenoiserModel):
             raise UnknownConditionError(f"unknown condition {condition!r}")
         return list(self.condition_map[condition])
 
-    def _table(self, sched: NoiseSchedule, t: int, condition) -> _MixtureTable:
-        ab = sched.alpha_bar(t)
+    def _table(self, t: int, condition) -> _MixtureTable:
+        ab = self._schedule.alpha_bar(t)
         idxs = self.active_indices(condition)
         w = np.array([self.components[i].weight for i in idxs])
         w = w / w.sum()
@@ -228,20 +225,14 @@ class AnalyticMixtureDenoiser(DenoiserModel):
             eps_scale=-np.sqrt(1.0 - ab),
         )
 
-    def _responsibilities(self, z, t: int, condition, sched: NoiseSchedule | None = None):
+    def _responsibilities(self, z, t: int, condition):
         """Posterior component weights of z at step t, z's offsets from
-        the noised means, and the table they came from.
-
-        Tables are read only for the schedule they were built from; any
-        other schedule (or a t or condition without a table, which then
-        raises) gets its constants computed afresh.
-        """
-        if t < 1:
-            raise ScheduleError(f"noise prediction needs t >= 1, got {t}")
-        sched = self.schedule if sched is None else sched
-        table = self._tables.get((t, condition)) if sched is self._table_schedule else None
+        the noised means, and the table they came from."""
+        table = self._tables.get((t, condition))
         if table is None:
-            table = self._table(sched, t, condition)
+            if not 1 <= t <= self._schedule.T:
+                raise ScheduleError(f"noise prediction at t={t}, outside [1, {self._schedule.T}]")
+            raise UnknownConditionError(f"unknown condition {condition!r}")
         diff = z[..., None, :] - table.means  # (..., K, d)
         dist2 = np.sum(diff * diff, axis=-1)  # (..., K)
         log_post = table.log_norm - 0.5 * dist2 / table.variances
@@ -251,7 +242,13 @@ class AnalyticMixtureDenoiser(DenoiserModel):
         return e / np.sum(e, axis=-1, keepdims=True), diff, table
 
     def predict(self, z, t: int, condition=None) -> np.ndarray:
-        return analytic_mixture_eps(self, z, t, condition, self.schedule)
+        """Exact eps via log-sum-exp responsibilities."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape[-1] != self.dim:
+            raise DimensionError(f"latent dim {z.shape[-1]} != model dim {self.dim}")
+        resp, diff, table = self._responsibilities(z, t, condition)
+        score = np.einsum("...k,...kd->...d", resp, -diff / table.variances[:, None])
+        return table.eps_scale * score
 
     def predict_jacobian(self, z, t: int, condition=None) -> np.ndarray:
         """Closed-form d eps / d z for a single latent z of shape (d,)."""
@@ -267,22 +264,6 @@ class AnalyticMixtureDenoiser(DenoiserModel):
         hess += np.einsum("k,ki,kj->ij", resp, comp_scores, comp_scores)
         hess -= np.outer(mean_score, mean_score)
         return table.eps_scale * hess
-
-
-def analytic_mixture_eps(
-    den: AnalyticMixtureDenoiser, z, t: int, condition, sched: NoiseSchedule
-) -> np.ndarray:
-    """Exact eps for mixture data via log-sum-exp responsibilities.
-
-    Any ``sched`` is honoured; only the schedule the denoiser was built
-    with reads the tables precomputed at construction.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != den.dim:
-        raise DimensionError(f"latent dim {z.shape[-1]} != model dim {den.dim}")
-    resp, diff, table = den._responsibilities(z, t, condition, sched)
-    score = np.einsum("...k,...kd->...d", resp, -diff / table.variances[:, None])
-    return table.eps_scale * score
 
 
 @dataclass(frozen=True)
@@ -372,12 +353,17 @@ class LinearDecoder(Decoder):
 class Pipeline:
     """Immutable bundle of everything the sampler needs: model, guidance,
     schedule, and decoder. ``forward`` is pure, so repeated calls with the
-    same latent are bit-identical."""
+    same latent are bit-identical. A model that carries a ``schedule``
+    (its noise levels) must carry one equal to the pipeline's."""
 
     model: DenoiserModel
     guidance: GuidanceConfig
     schedule: NoiseSchedule
     decoder: Decoder = field(default_factory=IdentityDecoder)
+
+    def __post_init__(self):
+        if getattr(self.model, "schedule", self.schedule) != self.schedule:
+            raise ScheduleError("the model was built for another schedule than the pipeline's")
 
     @property
     def dim(self) -> int:

@@ -8,11 +8,12 @@ parallel evaluation cannot perturb reproducibility.
 Every address is the NumPy ``SeedSequence`` entropy
 ``[seed mod 2^64, 4 words of sha256(label), *index]`` seeding a PCG64.
 The noise-diffusion optimizer draws candidate k of epoch e, attempt a at
-address ``(seed, "candidates", e, a*N + k)``. ``RngStream`` derives the
-PCG64 seed words itself, with SeedSequence's pool mixing: the
-(seed, label) prefix is mixed once per stream, and ``normal_block``
-mixes the last index word of all its rows as arrays. Its row k is the
-same draw, bit for bit, as ``normal(dim, *index, rows[k])``.
+address ``(seed, "candidates", e, a*N + k)``. NumPy's ``SeedSequence``
+mixes the (seed, label) prefix once per stream; ``RngStream`` carries on
+that pool mixing itself for the index words and derives the PCG64 seed
+words, and ``normal_block`` mixes the last index word of all its rows as
+arrays. Its row k is the same draw, bit for bit, as
+``normal(dim, *index, rows[k])``.
 """
 
 from __future__ import annotations
@@ -57,31 +58,6 @@ def _hash_run(h: int, mult: int, count: int):
         h = (h * mult) & _MASK32
         times.append(h)
     return np.array(xor, np.uint32)[:, None], np.array(times, np.uint32)[:, None], h
-
-
-def _initial_pool(words) -> tuple[np.ndarray, int]:
-    """SeedSequence ``mix_entropy`` of ``words``: the pool as a (4, 1)
-    uint32 column and the hash constant after it. The first four words
-    and their cross-mixing run one call at a time, as in NumPy."""
-    h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = (h * _MULT_A) & _MASK32
-        value = (value * h) & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
-                pool[dst] = mixed ^ (mixed >> 16)
-    column = np.array(pool, np.uint32)[:, None]
-    for word in words[_POOL_SIZE:]:
-        column, h = _absorb(column, h, word)
-    return column, h
 
 
 def _absorb(pool: np.ndarray, h: int, word) -> tuple[np.ndarray, int]:
@@ -157,10 +133,11 @@ class RngStream:
         digest = hashlib.sha256(self.label.encode("utf-8")).digest()
         label_words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
         words = _entropy_words(self.seed & 0xFFFFFFFFFFFFFFFF) + label_words
-        pool, h = _initial_pool(words)
+        pool = np.random.SeedSequence(words).pool[:, None]
         pool.setflags(write=False)
         object.__setattr__(self, "_pool", pool)
-        object.__setattr__(self, "_hash", h)
+        # SeedSequence mixes n >= 4 entropy words in 4n hash steps
+        object.__setattr__(self, "_hash", _INIT_A * pow(_MULT_A, 4 * len(words), 2**32) & _MASK32)
 
     def _seed_words(self, index, rows=None) -> np.ndarray:
         """PCG64 seed words of the address ``(*index, r)`` for each r in

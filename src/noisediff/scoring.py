@@ -158,31 +158,30 @@ class CompositeTargetScorer(Scorer):
             raise ValueError("composite scorer needs at least one group")
         self.groups = list(groups)
 
-    def _factors(self, x):
-        facs = []
-        for g in self.groups:
-            u = x[..., list(g.indices)] - g.target
-            norm = np.sqrt(np.sum(u * u, axis=-1))
-            facs.append(expit(g.sharpness * (g.radius - norm)))
-        return facs
-
-    def score(self, sample):
-        x = np.asarray(sample, dtype=np.float64)
-        facs = self._factors(x)
-        out = facs[0]
-        for f in facs[1:]:
-            out = out * f
-        return out
-
-    def gradient(self, sample):
-        x = np.asarray(sample, dtype=np.float64)
-        s = self.score(x)
-        grad = np.zeros_like(x)
+    def _terms(self, x):
+        """Per group of x: the group, its indices, the offset u from its
+        target, ||u|| and its logistic factor; and the score, the product
+        of the factors. Shared by score and gradient."""
+        terms = []
         for g in self.groups:
             idx = list(g.indices)
             u = x[..., idx] - g.target
-            norm = np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
-            f = expit(g.sharpness * (g.radius - norm[..., 0]))
+            norm = np.sqrt(np.sum(u * u, axis=-1))
+            terms.append((g, idx, u, norm, expit(g.sharpness * (g.radius - norm))))
+        score = terms[0][-1]
+        for *_, f in terms[1:]:
+            score = score * f
+        return terms, score
+
+    def score(self, sample):
+        return self._terms(np.asarray(sample, dtype=np.float64))[1]
+
+    def gradient(self, sample):
+        x = np.asarray(sample, dtype=np.float64)
+        terms, s = self._terms(x)
+        grad = np.zeros_like(x)
+        for g, idx, u, norm, f in terms:
+            norm = norm[..., None]
             # direction undefined exactly at the target; measure-zero kink
             unit = np.divide(u, norm, out=np.zeros_like(u), where=norm > 0.0)
             grad[..., idx] += (-g.sharpness * s * (1.0 - f))[..., None] * unit

@@ -6,6 +6,7 @@ from noisediff.analysis import (
     distribution_report,
     estimate_hessian_bound,
     probe_hessian_bound,
+    quartiles,
     ratio_quartiles,
     selection_ratio,
 )
@@ -189,6 +190,15 @@ class TestRatioQuartiles:
     def test_too_few(self):
         with pytest.raises(InsufficientSampleError):
             ratio_quartiles([_record_with_ratios([1.0, 2.0, 3.0])])
+        with pytest.raises(InsufficientSampleError):
+            quartiles([1.0, 2.0, 3.0])
+
+    def test_plain_ratios_match_records(self):
+        ratios = [0.3, -1.2, 4.5, 2.0, 0.7, 0.7]
+        got = quartiles(ratios)
+        assert got == ratio_quartiles([_record_with_ratios(ratios)])
+        assert got == ratio_quartiles([_record_with_ratios(ratios[:2]),
+                                       _record_with_ratios(ratios[2:] + [None])])
 
 
 class TestDistributionReport:

@@ -194,7 +194,7 @@ class TestBuilders:
         text = MINIMAL + "schedule.beta_start = 0.01\nschedule.beta_end = 0.2\ntimesteps = 5\n"
         sched = ExperimentConfig.from_text(text).pipeline.schedule
         assert sched.T == 5
-        assert sched.betas[0] == 0.01
+        assert sched.alpha_bars[1] == 1.0 - 0.01
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text(MINIMAL + "schedule.beta_start = 0.9\nschedule.beta_end = 0.1\n")
 

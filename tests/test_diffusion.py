@@ -13,7 +13,6 @@ from noisediff.diffusion import (
     MixtureComponent,
     NoiseSchedule,
     Pipeline,
-    analytic_mixture_eps,
     build_schedule,
     cfg_predict,
     ddim_step,
@@ -34,14 +33,16 @@ class TestBuildSchedule:
         np.testing.assert_allclose(s.alpha_bars, [1.0, 0.5])
 
     def test_two_step_product(self):
-        s = NoiseSchedule(np.array([0.1, 0.2]), np.array([0.9, 0.8]), np.array([1.0, 0.9, 0.72]))
+        s = NoiseSchedule(np.array([1.0, 0.9, 0.72]))
+        assert s.T == 2
         np.testing.assert_allclose(s.alpha_bars, [1.0, 0.9, 0.72])
 
     def test_default_matches_explicit_product_loop(self):
         s = build_schedule(50)
+        betas = np.linspace(1e-4, 0.02, 50)
         bar = 1.0
         for t in range(1, 51):
-            bar *= 1.0 - s.betas[t - 1]
+            bar *= 1.0 - betas[t - 1]
             assert abs(s.alpha_bar(t) - bar) <= 1e-12 * bar
 
     @pytest.mark.parametrize(
@@ -52,10 +53,18 @@ class TestBuildSchedule:
             build_schedule(*args)
 
     def test_inconsistent_arrays_rejected(self):
-        with pytest.raises(ScheduleError):
-            NoiseSchedule(np.array([0.1]), np.array([0.9]), np.array([1.0, 0.8]))
-        with pytest.raises(ScheduleError):
-            NoiseSchedule(np.array([0.1]), np.array([0.9]), np.array([0.99, 0.9]))
+        # alpha_bar(0) must be 1 and every implied beta lie in (0, 1)
+        for alpha_bars in ([0.99, 0.9], [], [[1.0, 0.5]], [1.0, 0.9, 0.9], [1.0, 0.5, 0.7],
+                           [1.0, 0.5, 0.0], [1.0, -0.5], [1.0, np.nan]):
+            with pytest.raises(ScheduleError):
+                NoiseSchedule(np.array(alpha_bars))
+
+    def test_equal_by_alpha_bars(self):
+        assert build_schedule(5) == build_schedule(5)
+        assert build_schedule(5) != build_schedule(6)
+        assert build_schedule(5) != build_schedule(5, 1e-3, 0.02)
+        assert NoiseSchedule.degenerate() == NoiseSchedule(np.ones(1))
+        assert build_schedule(5) != build_schedule(5).alpha_bars.tolist()
 
     def test_degenerate(self):
         s = NoiseSchedule.degenerate()
@@ -78,7 +87,7 @@ class TestForwardDiffuse:
         np.testing.assert_array_equal(out, z0)
 
     def test_quarter_alpha_bar(self):
-        s = NoiseSchedule(np.array([0.75]), np.array([0.25]), np.array([1.0, 0.25]))
+        s = NoiseSchedule(np.array([1.0, 0.25]))
         out = forward_diffuse(np.array([2.0, 0.0]), 1, np.array([0.0, 2.0]), s)
         np.testing.assert_allclose(out, [1.0, np.sqrt(3.0)])
 
@@ -230,7 +239,7 @@ class TestAnalyticMixtureEps:
         sched = build_schedule(10)
         den = AnalyticMixtureDenoiser([MixtureComponent(1.0, np.zeros(2), 1.0)], sched)
         with pytest.raises(ScheduleError):
-            analytic_mixture_eps(den, np.zeros(2), 0, None, sched)
+            den.predict(np.zeros(2), 0)
 
     def test_unknown_condition(self):
         sched = build_schedule(10)
@@ -294,34 +303,13 @@ class TestMixtureTables:
             for t in range(1, self.T + 1):
                 for condition in (None, "a", "b"):
                     expect = _direct_mixture_eps(den, z, t, condition, sched)
-                    np.testing.assert_array_equal(
-                        analytic_mixture_eps(den, z, t, condition, sched), expect
-                    )
                     np.testing.assert_array_equal(den.predict(z, t, condition), expect)
 
-    def test_other_schedule_is_computed_afresh(self):
+    def test_schedule_is_read_only(self):
         den, sched = self._denoiser()
-        other = build_schedule(2 * self.T, 1e-3, 0.05)
-        z1, zn = self._latents()
-        for t in (1, self.T, self.T + 1, 2 * self.T):  # past den's T too
-            for z in (z1, zn):
-                np.testing.assert_array_equal(
-                    analytic_mixture_eps(den, z, t, "a", other),
-                    _direct_mixture_eps(den, z, t, "a", other),
-                )
-        assert not np.array_equal(
-            analytic_mixture_eps(den, z1, 5, None, other), den.predict(z1, 5)
-        )
-        # an equal schedule that is another object gives the same result
-        np.testing.assert_array_equal(
-            analytic_mixture_eps(den, zn, 5, "b", build_schedule(self.T)),
-            den.predict(zn, 5, "b"),
-        )
-        # a denoiser given a new schedule does not read its old tables
-        den.schedule = other
-        np.testing.assert_array_equal(
-            den.predict(z1, 7), _direct_mixture_eps(den, z1, 7, None, other)
-        )
+        with pytest.raises(AttributeError):
+            den.schedule = build_schedule(2 * self.T, 1e-3, 0.05)
+        assert den.schedule is sched
 
     def test_mixture_cannot_change_under_its_tables(self):
         den, _ = self._denoiser()
@@ -331,16 +319,35 @@ class TestMixtureTables:
             den.condition_map["a"].append(1)
 
     def test_steps_without_a_table_raise(self):
-        den, sched = self._denoiser()
+        den, _ = self._denoiser()
         with pytest.raises(ScheduleError):
             den.predict(np.zeros(5), self.T + 1)
         with pytest.raises(ScheduleError):
-            analytic_mixture_eps(den, np.zeros(5), 0, "a", sched)
+            den.predict(np.zeros(5), 0, "a")
+        with pytest.raises(ScheduleError):
+            den.predict_jacobian(np.zeros(5), self.T + 1, "b")
         with pytest.raises(UnknownConditionError):
-            analytic_mixture_eps(den, np.zeros(5), 3, "c", sched)
+            den.predict(np.zeros(5), 3, "c")
 
 
 class TestDenoisePipeline:
+    def test_model_for_another_schedule_rejected(self):
+        comps = [MixtureComponent(1.0, np.zeros(4), 1.0)]
+        g = GuidanceConfig(w=1.0)
+        with pytest.raises(ScheduleError):
+            Pipeline(AnalyticMixtureDenoiser(comps, build_schedule(10)), g, build_schedule(5))
+        with pytest.raises(ScheduleError):
+            Pipeline(AnalyticMixtureDenoiser(comps, build_schedule(5)), g, build_schedule(10))
+        with pytest.raises(ScheduleError):
+            Pipeline(AnalyticMixtureDenoiser(comps, build_schedule(5)), g,
+                     build_schedule(5, 1e-3, 0.02))
+
+    def test_equal_schedule_of_another_object_builds(self):
+        pipe, sched = _mixture_pipeline()
+        equal = Pipeline(pipe.model, pipe.guidance, build_schedule(sched.T))
+        z = RngStream(4, "det").normal(6)
+        assert equal.forward(z)[0].tobytes() == pipe.forward(z)[0].tobytes()
+
     def test_degenerate_schedule_is_identity(self):
         sched = NoiseSchedule.degenerate()
         model = ConstantDenoiser(np.zeros(3))
