@@ -38,7 +38,7 @@ for method in ("noise-diffusion", "random-diffusion", "random-sampling", "pgd", 
                                       NoiseDiffusionConfig(epochs=EPOCHS, candidates=50),
                                       RngStream(seed, "candidates"))
         else:
-            rec = run_baseline(z0, pipeline, scorer, BaselineConfig(method=method), EPOCHS,
+            rec = run_baseline(z0, pipeline, scorer, BaselineConfig(method=method, epochs=EPOCHS),
                                RngStream(seed, f"baseline-{method}"))
         finals.append(rec.best_score)
         drifts.append(abs(rec.final_latent.var(ddof=1) - 1.0))

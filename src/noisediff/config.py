@@ -86,11 +86,6 @@ class ExperimentConfig:
     the pipeline, scorer and optimizer settings built from it once, at
     parse time; every seed of a run uses these same objects."""
 
-    method: str
-    dim: int
-    epochs: int
-    candidates: int
-    timesteps: int
     seeds: list[int]
     output: str
     resolved: dict[str, str] = field(default_factory=dict)
@@ -106,11 +101,6 @@ class ExperimentConfig:
     def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
         reader = _Reader(parse_config_text(text, source), source)
         cfg = cls(
-            method=reader.choice("method", METHODS, "noise-diffusion"),
-            dim=reader.int("dim", "64", minimum=1),
-            epochs=reader.int("epochs", "50", minimum=0),
-            candidates=reader.int("candidates", "50", minimum=1),
-            timesteps=reader.int("timesteps", "50", minimum=1),
             seeds=cls._resolve_seeds(reader),
             output=reader.str("output", "runs/latest"),
             source=source,
@@ -126,7 +116,7 @@ class ExperimentConfig:
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{source}: {exc}")
         if (
-            cfg.method in ("noise-diffusion", "pgd", "mean-variance")
+            cfg.optimizer.method in ("noise-diffusion", "pgd", "mean-variance")
             and isinstance(cfg.scorer, RemoteScorer)
             and cfg.optimizer.gradient_mode is not GradientMode.FINITE_DIFFERENCE
         ):
@@ -164,14 +154,16 @@ class ExperimentConfig:
 
     def build_pipeline(self) -> Pipeline:
         r = self._reader
+        dim = r.int("dim", "64", minimum=1)
+        timesteps = r.int("timesteps", "50", minimum=1)
         beta_start = r.float("schedule.beta_start", "0.0001")
         beta_end = r.float("schedule.beta_end", "0.02")
         try:
-            schedule = build_schedule(self.timesteps, beta_start, beta_end)
+            schedule = build_schedule(timesteps, beta_start, beta_end)
         except ScheduleError as exc:
             raise r.error("schedule.beta_start", str(exc))
         if r.choice("denoiser.type", ("mixture", "constant"), "mixture") == "constant":
-            model = ConstantDenoiser(r.vector("denoiser.constant.value", self.dim, "0.0"))
+            model = ConstantDenoiser(r.vector("denoiser.constant.value", dim, "0.0"))
         else:
             indices = sorted({int(m.group(1)) for key in r.keys_with_prefix("denoiser.component.")
                               if (m := re.match(r"denoiser\.component\.(\d+)\.", key))})
@@ -184,9 +176,9 @@ class ExperimentConfig:
                 prefix = f"denoiser.component.{k}"
                 components.append(
                     MixtureComponent(
-                        weight=r.float(f"{prefix}.weight", "1.0"),
-                        mean=self._vector(f"{prefix}.mean", self.dim),
-                        var=r.float(f"{prefix}.var", "1.0"),
+                        weight=r.float(f"{prefix}.weight", "1.0", above=0),
+                        mean=self._vector(f"{prefix}.mean", dim),
+                        var=r.float(f"{prefix}.var", "1.0", above=0),
                     )
                 )
             condition_map = {}
@@ -197,8 +189,8 @@ class ExperimentConfig:
                 model = AnalyticMixtureDenoiser(components, schedule, condition_map)
             except Exception as exc:
                 raise r.error("denoiser.type", str(exc))
-        if model.dim != self.dim:
-            raise r.error("dim", f"denoiser dim {model.dim} != configured dim {self.dim}")
+        if model.dim != dim:
+            raise r.error("dim", f"denoiser dim {model.dim} != configured dim {dim}")
 
         guidance = GuidanceConfig(
             w=r.float("guidance.scale", "7.5"),
@@ -218,7 +210,7 @@ class ExperimentConfig:
         else:
             rows = r.int("decoder.linear.rows", minimum=1)
             gen = RngStream(r.int("decoder.linear.seed", "0"), "decoder").generator()
-            decoder = LinearDecoder(gen.standard_normal((rows, self.dim)) / np.sqrt(self.dim))
+            decoder = LinearDecoder(gen.standard_normal((rows, dim)) / np.sqrt(dim))
         return Pipeline(model, guidance, schedule, decoder)
 
     def _vector(self, key, length):
@@ -233,13 +225,13 @@ class ExperimentConfig:
         """The configured scorer, over samples of the pipeline's decoder."""
         r = self._reader
         decoder = self.pipeline.decoder
-        sdim = decoder.weight.shape[0] if isinstance(decoder, LinearDecoder) else self.dim
+        sdim = decoder.weight.shape[0] if isinstance(decoder, LinearDecoder) else self.pipeline.dim
         stype = r.choice("scorer.type", ("quadratic-sigmoid", "composite", "remote"),
                          "quadratic-sigmoid")
         if stype == "quadratic-sigmoid":
             return QuadraticSigmoidScorer(
                 target=self._vector("scorer.quadratic.target", sdim),
-                sharpness=r.float("scorer.quadratic.sharpness", "0.5"),
+                sharpness=r.float("scorer.quadratic.sharpness", "0.5", above=0),
                 offset=r.float("scorer.quadratic.offset", "0.0"),
             )
         if stype == "composite":
@@ -254,8 +246,8 @@ class ExperimentConfig:
                     TargetGroup(
                         indices=tuple(indices),
                         target=self._vector(f"{prefix}.target", len(indices)),
-                        radius=r.float(f"{prefix}.radius", "1.0"),
-                        sharpness=r.float(f"{prefix}.sharpness", "1.0"),
+                        radius=r.float(f"{prefix}.radius", "1.0", above=0),
+                        sharpness=r.float(f"{prefix}.sharpness", "1.0", above=0),
                     )
                 )
                 j += 1
@@ -267,13 +259,10 @@ class ExperimentConfig:
             endpoint = parse_endpoint(r.str("scorer.remote.endpoint"))
         except ValueError as exc:
             raise r.error("scorer.remote.endpoint", str(exc))
-        timeout_ms = r.float("scorer.remote.timeout_ms", "1000")
-        if timeout_ms <= 0.0:
-            raise r.error("scorer.remote.timeout_ms", f"must be finite and > 0, got {timeout_ms}")
         return RemoteScorer(
             endpoint=endpoint,
             prompt=r.str("scorer.prompt", "a synthetic benchmark target"),
-            timeout=timeout_ms / 1e3,
+            timeout=r.float("scorer.remote.timeout_ms", "1000", above=0) / 1e3,
             retries=r.int("scorer.remote.retries", "1", minimum=0),
         )
 
@@ -281,31 +270,31 @@ class ExperimentConfig:
         """The configured method's settings. The keys of every method are
         read and validated whatever the method, as every other key is."""
         r = self._reader
-        mode = r.choice("gradient.mode", [m.value for m in GradientMode], "approx-constant-eps")
-        v_norm_guard = r.float("v_norm_guard", "1e-12")
-        fd_step = r.float("gradient.fd_step", "")
-        if fd_step is not None and fd_step <= 0.0:
-            raise r.error("gradient.fd_step", f"must be > 0, got {fd_step}")
-        fd = dict(gradient_mode=mode, fd_step=fd_step,
-                  fd_budget=r.int("gradient.fd_budget", "", minimum=1))
+        method = r.choice("method", METHODS, "noise-diffusion")
+        shared = dict(
+            epochs=r.int("epochs", "50", minimum=0),
+            gradient_mode=r.choice("gradient.mode", [m.value for m in GradientMode],
+                                   "approx-constant-eps"),
+            fd_step=r.float("gradient.fd_step", "", above=0),
+            fd_budget=r.int("gradient.fd_budget", "", minimum=1),
+        )
         noise_diffusion = NoiseDiffusionConfig(
-            epochs=self.epochs,
-            candidates=self.candidates,
-            v_norm_guard=v_norm_guard,
+            candidates=r.int("candidates", "50", minimum=1),
+            v_norm_guard=r.float("v_norm_guard", "1e-12", above=0),
             strict_improvement=r.bool("strict", "false"),
-            **fd,
+            **shared,
         )
         baseline = BaselineConfig(
-            method=self.method if self.method in BASELINE_METHODS else "random-sampling",
-            pgd_step=r.float("pgd.step", "0.05"),
-            pgd_radius=r.float("pgd.radius", "0.5"),
-            mv_learning_rate=r.float("mv.learning_rate", "0.01"),
-            mv_beta1=r.float("mv.beta1", "0.9"),
-            mv_beta2=r.float("mv.beta2", "0.999"),
-            mv_epsilon=r.float("mv.epsilon", "1e-8"),
-            **fd,
+            method=method if method in BASELINE_METHODS else "random-sampling",
+            pgd_step=r.float("pgd.step", "0.05", minimum=0),
+            pgd_radius=r.float("pgd.radius", "0.5", above=0),
+            mv_learning_rate=r.float("mv.learning_rate", "0.01", above=0),
+            mv_beta1=r.float("mv.beta1", "0.9", minimum=0, below=1),
+            mv_beta2=r.float("mv.beta2", "0.999", minimum=0, below=1),
+            mv_epsilon=r.float("mv.epsilon", "1e-8", above=0),
+            **shared,
         )
-        return noise_diffusion if self.method == "noise-diffusion" else baseline
+        return noise_diffusion if method == "noise-diffusion" else baseline
 
     def resolved_text(self, overrides: dict[str, str] | None = None) -> str:
         """Flat serialization with defaults filled in and ``overrides``
@@ -386,7 +375,9 @@ class _Reader:
             raise self.error(key, f"must be >= {minimum}, got {value}")
         return value
 
-    def float(self, key, default=None) -> float | None:
+    def float(self, key, default=None, minimum=None, above=None, below=None) -> float | None:
+        """A finite number, ``>= minimum``, ``> above`` and ``< below``
+        where those bounds are given."""
         raw = self._raw(key, default)
         if raw is None:
             return None
@@ -396,6 +387,11 @@ class _Reader:
             raise self.error(key, f"expected a number, got {raw!r}")
         if not math.isfinite(value):
             raise self.error(key, f"expected a finite number, got {raw!r}")
+        for bound, holds in ((f">= {minimum}", minimum is None or value >= minimum),
+                             (f"> {above}", above is None or value > above),
+                             (f"< {below}", below is None or value < below)):
+            if not holds:
+                raise self.error(key, f"must be {bound}, got {value}")
         return value
 
     def int_list(self, key, default=None) -> list[int]:

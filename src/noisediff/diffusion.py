@@ -45,7 +45,7 @@ class NoiseSchedule:
     alpha_bars: np.ndarray
 
     def __post_init__(self):
-        alpha_bars = np.asarray(self.alpha_bars, dtype=np.float64)
+        alpha_bars = np.array(self.alpha_bars, dtype=np.float64)
         alpha_bars.setflags(write=False)
         object.__setattr__(self, "alpha_bars", alpha_bars)
         if alpha_bars.ndim != 1 or alpha_bars.size == 0 or alpha_bars[0] != 1.0:
@@ -146,7 +146,7 @@ class MixtureComponent:
     var: float  # isotropic variance s^2
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
+        mean = np.array(self.mean, dtype=np.float64)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         if self.weight <= 0.0:

@@ -155,16 +155,17 @@ def read_run_method(csv_path: str) -> str | None:
 def run_single(config: ExperimentConfig, seed: int) -> TrajectoryRecord:
     """One optimizer run for one seed, with streams derived from the seed."""
     z_init, rng = _seed_start(config, seed)
-    args = config.pipeline, config.scorer, config.optimizer
-    if config.method == "noise-diffusion":
-        return run_noise_diffusion(z_init, *args, rng)
-    return run_baseline(z_init, *args, config.epochs, rng)
+    args = z_init, config.pipeline, config.scorer, config.optimizer, rng
+    if config.optimizer.method == "noise-diffusion":
+        return run_noise_diffusion(*args)
+    return run_baseline(*args)
 
 
 def _seed_start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, RngStream]:
     """A seed's start latent and the stream its optimizer draws from."""
-    z_init = sample_standard_normal(RngStream(seed, "init"), config.dim)
-    label = "candidates" if config.method == "noise-diffusion" else f"baseline-{config.method}"
+    method = config.optimizer.method
+    z_init = sample_standard_normal(RngStream(seed, "init"), config.pipeline.dim)
+    label = "candidates" if method == "noise-diffusion" else f"baseline-{method}"
     return z_init, RngStream(seed, label)
 
 
@@ -214,12 +215,11 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
         config.pipeline,
         config.scorer,
         config.optimizer,
-        config.epochs,
     )
     for seed, record in zip(config.seeds, records):
         result.records[seed] = record
         write_trajectory_csv(record, os.path.join(out_dir, f"trajectory_seed{seed}.csv"))
-        summary_lines.append(_summary_row(seed, record, config.dim))
+        summary_lines.append(_summary_row(seed, record, config.pipeline.dim))
         if record.final_latent is not None:
             latent_rows.append(",".join(map(_fmt, [seed, *map(float, record.final_latent)])))
         if record.incomplete:
@@ -227,7 +227,7 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
 
     _write(os.path.join(out_dir, "summary.csv"), summary_lines)
     if latent_rows:
-        latent_rows.insert(0, _latents_header(config.dim))
+        latent_rows.insert(0, _latents_header(config.pipeline.dim))
         _write(os.path.join(out_dir, "final_latents.csv"), latent_rows)
     status = ["ok"] if not result.failures else ["incomplete"] + result.failures
     _write(os.path.join(out_dir, "status.txt"), status)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,10 +51,12 @@ BASELINE_METHODS = ("pgd", "mean-variance", "random-sampling", "random-diffusion
 
 
 @dataclass(frozen=True, kw_only=True)
-class _GradientSettings:
-    """The gradient and logging settings both method configs share; a
-    string ``gradient_mode`` becomes its ``GradientMode``."""
+class _MethodSettings:
+    """The epoch count, gradient and logging settings both method
+    configs share; a string ``gradient_mode`` becomes its
+    ``GradientMode``."""
 
+    epochs: int = 50  # M
     gradient_mode: GradientMode = GradientMode.APPROX_CONSTANT_EPS
     fd_step: float | None = None
     fd_budget: int | None = None
@@ -62,25 +65,29 @@ class _GradientSettings:
     def __post_init__(self):
         # a plain string would slip past the identity test on the mode
         object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.fd_step is not None and not self.fd_step > 0.0:
+            raise ValueError(f"fd_step must be > 0, got {self.fd_step}")
+        if self.fd_budget is not None and self.fd_budget < 1:
+            raise ValueError(f"fd_budget must be >= 1, got {self.fd_budget}")
 
 
 @dataclass(frozen=True)
-class NoiseDiffusionConfig(_GradientSettings):
+class NoiseDiffusionConfig(_MethodSettings):
     """Knobs for the main optimizer.
 
     ``strict_improvement`` (extension, off by default) skips epochs whose
     best candidate ratio is negative instead of updating anyway.
     """
 
-    epochs: int = 50  # M
+    method: ClassVar[str] = "noise-diffusion"
     candidates: int = 50  # N
     v_norm_guard: float = 1e-12
     strict_improvement: bool = False
 
     def __post_init__(self):
         super().__post_init__()
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
         if self.candidates < 1:
             raise ValueError("need at least one candidate noise")
         if self.v_norm_guard <= 0.0:
@@ -88,7 +95,7 @@ class NoiseDiffusionConfig(_GradientSettings):
 
 
 @dataclass(frozen=True)
-class BaselineConfig(_GradientSettings):
+class BaselineConfig(_MethodSettings):
     method: str
     pgd_step: float = 0.05
     pgd_radius: float = 0.5
@@ -172,15 +179,13 @@ def step_size_gamma(s: float) -> float:
     return 1.0 - float(np.sqrt(s))
 
 
-def _update_inputs(z, gamma: float, sigma, rows: bool = False):
-    """``z`` and ``sigma`` as float64 arrays, after checking that sigma
-    has z's shape (each of its rows does, with ``rows``) and that gamma
-    is in [0, 1]."""
+def _update_inputs(z, gamma: float, sigma):
+    """``z`` and ``sigma`` as float64 arrays, after checking that sigma,
+    or each of its rows, has z's shape and that gamma is in [0, 1]."""
     z = np.asarray(z, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    shape = sigma.shape[1:] if rows else sigma.shape
-    if z.shape != shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {shape}")
+    if z.shape not in (sigma.shape, sigma.shape[1:]):
+        raise DimensionError(f"shape mismatch: {z.shape} vs {sigma.shape}")
     if not 0.0 <= gamma <= 1.0:
         raise InvalidScoreError(f"gamma must be in [0, 1], got {gamma!r}")
     return z, sigma
@@ -188,9 +193,14 @@ def _update_inputs(z, gamma: float, sigma, rows: bool = False):
 
 def step_difference(z, gamma: float, sigma) -> np.ndarray:
     """v = (sqrt(1 - gamma) - 1) z + sqrt(gamma) sigma, the displacement
-    the update would produce."""
+    the update would produce; for an (N, d) ``sigma``, one row per
+    candidate."""
     z, sigma = _update_inputs(z, gamma, sigma)
-    return (np.sqrt(1.0 - gamma) - 1.0) * z + np.sqrt(gamma) * sigma
+    # one temporary, added to in place (IEEE addition commutes, so the
+    # bits are those of the formula as written)
+    v = np.sqrt(gamma) * sigma
+    v += (np.sqrt(1.0 - gamma) - 1.0) * z
+    return v
 
 
 def apply_update(z, gamma: float, sigma) -> np.ndarray:
@@ -220,11 +230,9 @@ def select_noise(
         sigmas = np.asarray(candidates, dtype=np.float64)
     except ValueError as exc:
         raise DimensionError(f"candidates of unequal shapes: {exc}") from exc
-    z, sigmas = _update_inputs(z, gamma, sigmas, rows=True)
-    # one (N, d) temporary, added to in place (IEEE addition commutes, so
-    # the bits are those of the per-vector formula)
-    steps = np.sqrt(gamma) * sigmas
-    steps += (np.sqrt(1.0 - gamma) - 1.0) * z
+    if sigmas.ndim != 2:
+        raise DimensionError(f"candidates must be an (N, d) array, got shape {sigmas.shape}")
+    steps = step_difference(z, gamma, sigmas)
     best_index = -1
     best_ratio = -np.inf
     for i, v in enumerate(steps):
@@ -267,7 +275,7 @@ class _Seed:
             return None
 
 
-def _gradient(z, pipeline, scorer, cfg: _GradientSettings, rng: RngStream, epoch, forward):
+def _gradient(z, pipeline, scorer, cfg: _MethodSettings, rng: RngStream, epoch, forward):
     """``latent_gradient`` in ``cfg``'s mode, and its norm. With a probe
     budget below the dimension, finite differences probe a seeded
     coordinate subset drawn afresh each epoch."""
@@ -363,10 +371,10 @@ def run_lockstep(
     pipeline: Pipeline,
     scorer: Scorer,
     cfg: NoiseDiffusionConfig | BaselineConfig,
-    epochs: int,
 ) -> list[TrajectoryRecord]:
-    """Run ``cfg``'s method from every ``(z_T, rng)`` start for ``epochs``
-    epochs, all seeds in lockstep; the records come back in start order.
+    """Run ``cfg.method`` from every ``(z_T, rng)`` start for
+    ``cfg.epochs`` epochs, all seeds in lockstep; the records come back
+    in start order.
 
     This is the epoch loop every method shares. Each seed gets its own
     step (and, for mean-variance, its own Adam state), so record k is the
@@ -384,20 +392,15 @@ def run_lockstep(
     its loop time. A scorer outage or contract violation ends only the
     seed it came from.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if isinstance(cfg, NoiseDiffusionConfig):
-        method, make_step = "noise-diffusion", _noise_diffusion_step
-    else:
-        method, make_step = cfg.method, _baseline_step
+    make_step = _noise_diffusion_step if cfg.method == "noise-diffusion" else _baseline_step
     seeds = []
     for z_T, rng in starts:
         z = as_latent(z_T, dim=pipeline.dim).copy()
-        rec = TrajectoryRecord(method=method, latents=[] if cfg.record_latents else None)
+        rec = TrajectoryRecord(method=cfg.method, latents=[] if cfg.record_latents else None)
         step = make_step(z_T, pipeline, scorer, cfg, rng)
         seeds.append(_Seed(step, z, rec, moved=z))  # epoch 0 scores the start latent
     live = seeds
-    for epoch in range(epochs + 1):
+    for epoch in range(cfg.epochs + 1):
         if epoch:
             for s in live:
                 t0 = time.perf_counter()
@@ -448,7 +451,7 @@ def run_noise_diffusion(
     outage or contract violation aborts with the partial trajectory
     flagged incomplete.
     """
-    return run_lockstep([(z_T, rng)], pipeline, scorer, cfg, cfg.epochs)[0]
+    return run_lockstep([(z_T, rng)], pipeline, scorer, cfg)[0]
 
 
 def run_baseline(
@@ -456,10 +459,9 @@ def run_baseline(
     pipeline: Pipeline,
     scorer: Scorer,
     cfg: BaselineConfig,
-    epochs: int,
     rng: RngStream,
 ) -> TrajectoryRecord:
-    """Run one comparison method for ``epochs`` epochs.
+    """Run one comparison method for ``cfg.epochs`` epochs.
 
     pgd: sign-gradient ascent projected onto the l_inf ball around the
     start; mean-variance: Adam ascent on (mu, log-scale) of
@@ -467,4 +469,4 @@ def run_baseline(
     latent each epoch; random-diffusion: the diffusion update with
     score-driven step size but an unselected random noise.
     """
-    return run_lockstep([(z_T, rng)], pipeline, scorer, cfg, epochs)[0]
+    return run_lockstep([(z_T, rng)], pipeline, scorer, cfg)[0]

@@ -136,7 +136,7 @@ class TargetGroup:
     sharpness: float
 
     def __post_init__(self):
-        target = np.asarray(self.target, dtype=np.float64)
+        target = np.array(self.target, dtype=np.float64)
         target.setflags(write=False)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))

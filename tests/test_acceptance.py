@@ -61,7 +61,7 @@ def _baseline_runs(pipeline, scorer, method, seeds=SEEDS):
     for seed in seeds:
         z0 = sample_standard_normal(RngStream(seed, "init"), pipeline.dim)
         records.append(
-            run_baseline(z0, pipeline, scorer, BaselineConfig(method=method), EPOCHS,
+            run_baseline(z0, pipeline, scorer, BaselineConfig(method=method, epochs=EPOCHS),
                          RngStream(seed, f"baseline-{method}"))
         )
     return records

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,8 @@ class TestParse:
 class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig.from_text(MINIMAL)
-        assert (cfg.epochs, cfg.candidates, cfg.timesteps) == (50, 50, 50)
+        nd = cfg.optimizer
+        assert (nd.epochs, nd.candidates, cfg.pipeline.schedule.T) == (50, 50, 50)
         assert cfg.resolved["guidance.scale"] == "7.5"
         assert cfg.seeds == [0]
 
@@ -46,7 +49,7 @@ class TestExperimentConfig:
 
     def test_zero_epochs_allowed(self):
         cfg = ExperimentConfig.from_text(MINIMAL + "epochs = 0\n")
-        assert cfg.epochs == 0
+        assert cfg.optimizer.epochs == 0
 
     def test_zero_candidates_rejected(self):
         with pytest.raises(ConfigError):
@@ -218,6 +221,26 @@ NAMED_AT_PARSE = [
     "denoiser.component.0.mean = 0,nan,0,0,0,0,0,0\n",
 ]
 
+COMPOSITE = "scorer.type = composite\nscorer.group.0.indices = 0\nscorer.group.0.target = 0\n"
+
+# one value just outside each numeric key's bound, and that bound
+OUT_OF_RANGE = [
+    ("v_norm_guard = 0", "> 0"),
+    ("pgd.step = -0.1", ">= 0"),
+    ("pgd.radius = 0", "> 0"),
+    ("mv.learning_rate = -1", "> 0"),
+    ("mv.beta1 = -0.5", ">= 0"),
+    ("mv.beta1 = 1", "< 1"),
+    ("mv.beta2 = 1.5", "< 1"),
+    ("mv.epsilon = 0", "> 0"),
+    ("denoiser.component.0.weight = 0", "> 0"),
+    ("denoiser.component.0.var = -1", "> 0"),
+    ("scorer.quadratic.sharpness = 0", "> 0"),
+    (COMPOSITE + "scorer.group.0.radius = 0", "> 0"),
+    (COMPOSITE + "scorer.group.0.sharpness = -2", "> 0"),
+    ("gradient.fd_step = 0", "> 0"),
+]
+
 
 class TestConstructionErrorsBecomeConfigErrors:
     @pytest.mark.parametrize(
@@ -243,6 +266,15 @@ class TestConstructionErrorsBecomeConfigErrors:
         key = extra.split(" =")[0]
         with pytest.raises(ConfigError, match=f"line 3: {key}:"):
             ExperimentConfig.from_text(MINIMAL + extra)
+
+    @pytest.mark.parametrize("extra, bound", OUT_OF_RANGE,
+                             ids=[extra.splitlines()[-1] for extra, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_names_key_line_and_bound(self, extra, bound):
+        lines = (MINIMAL + extra).splitlines()
+        key = lines[-1].split(" =")[0]
+        message = f"line {len(lines)}: {key}: must be {bound}, got"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_text("\n".join(lines) + "\n")
 
 
 # resolved_text() of MINIMAL with each method: every default, pinned
@@ -305,7 +337,7 @@ class TestRemoteGradientCompatibility:
     def test_score_only_methods_accepted(self):
         cfg = ExperimentConfig.from_text(self.REMOTE.replace(
             "method = noise-diffusion", "method = random-diffusion"))
-        assert cfg.method == "random-diffusion"
+        assert cfg.optimizer.method == "random-diffusion"
 
 
 @st.composite
@@ -354,4 +386,4 @@ def test_resolved_text_reparses_to_the_same_config(text):
     again = ExperimentConfig.from_text(cfg.resolved_text())
     assert again.resolved == cfg.resolved
     assert again.optimizer == cfg.optimizer
-    assert getattr(cfg.optimizer, "method", "noise-diffusion") == cfg.method
+    assert cfg.optimizer.method == cfg.resolved["method"]

@@ -25,6 +25,23 @@ from noisediff.errors import (
     UnknownConditionError,
 )
 from noisediff.latents import RngStream
+from noisediff.scoring import TargetGroup
+
+
+def test_each_frozen_array_is_a_copy():
+    """A schedule, a mixture component and a target group each freeze
+    their own copy, so a caller's float64 array stays writable and
+    later writes to it change nothing they hold."""
+    arrays = [np.array([1.0, 0.5]), np.zeros(2), np.zeros(2)]
+    held = [
+        NoiseSchedule(arrays[0]).alpha_bars,
+        MixtureComponent(1.0, arrays[1], 1.0).mean,
+        TargetGroup((0, 1), arrays[2], 1.0, 1.0).target,
+    ]
+    for array, frozen in zip(arrays, held):
+        array[-1] = 0.25
+        assert not frozen.flags.writeable
+        assert frozen[-1] != 0.25
 
 
 class TestBuildSchedule:

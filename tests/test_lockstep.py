@@ -2,6 +2,7 @@
 epoch; each seed's trajectory must still be the one it has alone."""
 
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -30,6 +31,20 @@ VARIANTS = {
     "strict": "strict = true\ncandidates = 1\n",
 }
 
+# sha256 of each variant's stable outputs (``_digest``), pinned as
+# literals so that any change to a trajectory, a final latent or a best
+# latent fails the test
+DIGESTS = {
+    "chain": "96a2cc343a986c47688d1ac5a09376e15050598702fadac85a3315f7dc320222",
+    "fd-budget-2": "e1317efd4edcc17350d32e045feb59b2049367aa2e96fac31be28119f93bf919",
+    "mean-variance": "6a3be78fe9c0a96859517eda3556a5c8e81ad6b96397a3f38e7f849e1689c4a5",
+    "noise-diffusion": "1ffc1ef9aacc918a7d89cdf8dd39ae1694559c4f68f6ff1267dade003ee053a7",
+    "pgd": "ca65e2dbb530546fc4cc72b41a5acfa903059dac61d79a4c37fa4ebfb7dc98c4",
+    "random-diffusion": "4b45d9072f27fc38a4087eb4dc5ea0594299ad2cc3e630c1b8e5b6aaafe5869b",
+    "random-sampling": "33009fb7f11833a1bf49ae2cd46c97e301d8e0c5e31886742ea96d45d01e7e8d",
+    "strict": "7949af0b833e18f5440f0511bdb94c26714eab05bdcfbaa17f144bc84664f05d",
+}
+
 
 def _config_text(tmp_path, extra="", epochs=6):
     text = composite_benchmark_config(seeds=SEEDS, epochs=epochs, candidates=10,
@@ -44,6 +59,18 @@ def _rows(record):
     return [repr(dataclasses.replace(row, wall_ms=0.0)) for row in record.rows]
 
 
+def _digest(records):
+    """sha256 of every seed's stable outputs: its rows without wall_ms,
+    its final latent and its best latent."""
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        rec = records[seed]
+        h.update("\n".join(_rows(rec)).encode())
+        h.update(rec.final_latent.tobytes())
+        h.update(rec.best_latent.tobytes())
+    return h.hexdigest()
+
+
 class TestSeedsMatchRunSingle:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_rows_and_latents(self, tmp_path, variant):
@@ -55,6 +82,7 @@ class TestSeedsMatchRunSingle:
             assert _rows(shared) == _rows(alone)
             assert shared.final_latent.tobytes() == alone.final_latent.tobytes()
             assert shared.best_latent.tobytes() == alone.best_latent.tobytes()
+        assert _digest(result.records) == DIGESTS[variant]
         if variant == "strict":  # the variant must exercise skipped epochs
             assert any(row.v_norm is None for rec in result.records.values()
                        for row in rec.rows[1:])
@@ -125,7 +153,7 @@ def test_wall_ms_is_a_share_of_the_forward():
     ]
     start = time.perf_counter()
     records = run_lockstep(starts, SleepingPipeline(pipe, sleep_ms / 1e3), scorer,
-                           NoiseDiffusionConfig(epochs=epochs, candidates=8), epochs)
+                           NoiseDiffusionConfig(epochs=epochs, candidates=8))
     loop_ms = (time.perf_counter() - start) * 1e3
     walls = [row.wall_ms for rec in records for row in rec.rows]
     assert len(walls) == seeds * (epochs + 1)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -194,7 +196,7 @@ class TestRunNoiseDiffusion:
                 RngStream(seed, "candidates"),
             )
             rs = run_baseline(
-                z0, pipe, scorer, BaselineConfig(method="random-sampling"), 50,
+                z0, pipe, scorer, BaselineConfig(method="random-sampling", epochs=50),
                 RngStream(seed, "baseline-random-sampling"),
             )
             assert nd.best_score > nd.rows[0].score
@@ -247,7 +249,8 @@ class TestRunBaseline:
         pipe, scorer = quadratic_benchmark()
         z0 = sample_standard_normal(RngStream(3, "init"), 16)
         rng = RngStream(3, "baseline-random-sampling")
-        rec = run_baseline(z0, pipe, scorer, BaselineConfig(method="random-sampling"), 1, rng)
+        cfg = BaselineConfig(method="random-sampling", epochs=1)
+        rec = run_baseline(z0, pipe, scorer, cfg, rng)
         fresh = rng.normal(16, 1)
         expect = max(score_latent(z0, pipe, scorer), score_latent(fresh, pipe, scorer))
         assert rec.best_score == pytest.approx(expect, abs=1e-15)
@@ -255,7 +258,8 @@ class TestRunBaseline:
     def test_pgd_zero_step_is_constant(self):
         pipe, scorer = quadratic_benchmark()
         z0 = sample_standard_normal(RngStream(4, "init"), 16)
-        rec = run_baseline(z0, pipe, scorer, BaselineConfig(method="pgd", pgd_step=0.0), 5, RngStream(4, "x"))
+        cfg = BaselineConfig(method="pgd", pgd_step=0.0, epochs=5)
+        rec = run_baseline(z0, pipe, scorer, cfg, RngStream(4, "x"))
         scores = {row.score for row in rec.rows}
         assert len(scores) == 1
         np.testing.assert_array_equal(rec.final_latent, z0)
@@ -263,15 +267,15 @@ class TestRunBaseline:
     def test_pgd_stays_in_linf_ball(self):
         pipe, scorer = quadratic_benchmark()
         z0 = sample_standard_normal(RngStream(5, "init"), 16)
-        cfg = BaselineConfig(method="pgd", pgd_step=0.2, pgd_radius=0.5)
-        rec = run_baseline(z0, pipe, scorer, cfg, 40, RngStream(5, "x"))
+        cfg = BaselineConfig(method="pgd", pgd_step=0.2, pgd_radius=0.5, epochs=40)
+        rec = run_baseline(z0, pipe, scorer, cfg, RngStream(5, "x"))
         assert np.max(np.abs(rec.final_latent - z0)) <= 0.5 + 1e-12
 
     def test_mean_variance_improves_on_smooth_landscape(self):
         pipe, scorer = quadratic_benchmark()
         z0 = sample_standard_normal(RngStream(6, "init"), 16)
-        cfg = BaselineConfig(method="mean-variance", mv_learning_rate=0.05)
-        rec = run_baseline(z0, pipe, scorer, cfg, 50, RngStream(6, "x"))
+        cfg = BaselineConfig(method="mean-variance", mv_learning_rate=0.05, epochs=50)
+        rec = run_baseline(z0, pipe, scorer, cfg, RngStream(6, "x"))
         assert rec.best_score > rec.rows[0].score
 
     def test_random_diffusion_median_at_least_random_sampling(self):
@@ -281,9 +285,9 @@ class TestRunBaseline:
         rd_finals, rs_finals = [], []
         for seed in range(25):
             z0 = sample_standard_normal(RngStream(seed, "init"), 16)
-            rd = run_baseline(z0, pipe, scorer, BaselineConfig(method="random-diffusion"), 50,
+            rd = run_baseline(z0, pipe, scorer, BaselineConfig(method="random-diffusion", epochs=50),
                               RngStream(seed, "baseline-random-diffusion"))
-            rs = run_baseline(z0, pipe, scorer, BaselineConfig(method="random-sampling"), 50,
+            rs = run_baseline(z0, pipe, scorer, BaselineConfig(method="random-sampling", epochs=50),
                               RngStream(seed, "baseline-random-sampling"))
             rd_finals.append(rd.best_score)
             rs_finals.append(rs.best_score)
@@ -292,7 +296,7 @@ class TestRunBaseline:
     def test_random_diffusion_uses_score_driven_gamma(self):
         pipe, scorer = quadratic_benchmark()
         z0 = sample_standard_normal(RngStream(7, "init"), 16)
-        rec = run_baseline(z0, pipe, scorer, BaselineConfig(method="random-diffusion"), 5,
+        rec = run_baseline(z0, pipe, scorer, BaselineConfig(method="random-diffusion", epochs=5),
                            RngStream(7, "baseline-random-diffusion"))
         for prev, row in zip(rec.rows, rec.rows[1:]):
             assert row.gamma == pytest.approx(1.0 - np.sqrt(prev.score))
@@ -305,7 +309,7 @@ class TestRunBaseline:
         pipe, scorer = quadratic_benchmark()
         z0 = sample_standard_normal(RngStream(8, "init"), 16)
         for method in ("pgd", "mean-variance", "random-sampling", "random-diffusion"):
-            rec = run_baseline(z0, pipe, scorer, BaselineConfig(method=method), 20,
+            rec = run_baseline(z0, pipe, scorer, BaselineConfig(method=method, epochs=20),
                                RngStream(8, f"baseline-{method}"))
             rec.validate()
             best = [row.best_score for row in rec.rows]
@@ -325,8 +329,8 @@ class TestForwardPasses:
                 epochs=self.EPOCHS, candidates=8, gradient_mode=mode, **kwargs
             )
             return run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(3, "candidates"))
-        cfg = BaselineConfig(method=method, gradient_mode=mode, **kwargs)
-        return run_baseline(z0, pipe, scorer, cfg, self.EPOCHS, RngStream(3, method))
+        cfg = BaselineConfig(method=method, epochs=self.EPOCHS, gradient_mode=mode, **kwargs)
+        return run_baseline(z0, pipe, scorer, cfg, RngStream(3, method))
 
     @pytest.mark.parametrize("method", ["noise-diffusion", "pgd", "mean-variance"])
     def test_one_forward_per_epoch(self, method, counting_pipeline, monkeypatch):
@@ -393,8 +397,8 @@ class TestSharedLoop:
             cfg = NoiseDiffusionConfig(epochs=epochs, candidates=8, record_latents=True)
             rec = run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(seed, "candidates"))
         else:
-            cfg = BaselineConfig(method=method, record_latents=True)
-            rec = run_baseline(z0, pipe, scorer, cfg, epochs, RngStream(seed, method))
+            cfg = BaselineConfig(method=method, epochs=epochs, record_latents=True)
+            rec = run_baseline(z0, pipe, scorer, cfg, RngStream(seed, method))
         assert [r.epoch for r in rec.rows] == list(range(epochs + 1))
         scores = [r.score for r in rec.rows]
         assert [r.best_score for r in rec.rows] == list(np.maximum.accumulate(scores))
@@ -582,7 +586,7 @@ class TestNonFiniteGradient:
     def test_gradient_baselines_end_incomplete(self, method):
         pipe, _ = quadratic_benchmark()
         rec = run_baseline(
-            np.zeros(16), pipe, NaNGradientScorer(), BaselineConfig(method=method), 4,
+            np.zeros(16), pipe, NaNGradientScorer(), BaselineConfig(method=method, epochs=4),
             RngStream(0, f"baseline-{method}"),
         )
         assert rec.incomplete
@@ -646,6 +650,8 @@ class TestUpdateProperties:
     @given(problem=_selection_problem())
     def test_selected_row_steps_by_step_difference(self, problem):
         grad, z, gamma, rows = problem
+        each = np.stack([step_difference(z, gamma, row) for row in rows])
+        assert step_difference(z, gamma, np.stack(rows)).tobytes() == each.tobytes()
         try:
             index, ratio = select_noise(grad, z, gamma, np.stack(rows))
         except DegenerateStepError:
@@ -676,3 +682,20 @@ class TestSharedGradientSettings:
         assert (nd.epochs, nd.candidates, nd.fd_budget) == (2, 3, 3)
         assert nd == NoiseDiffusionConfig(epochs=2, candidates=3, fd_budget=3,
                                           gradient_mode=GradientMode.FINITE_DIFFERENCE)
+
+    def test_both_settings_carry_method_and_epochs(self):
+        nd = NoiseDiffusionConfig(epochs=3)
+        assert (nd.method, nd.epochs) == ("noise-diffusion", 3)
+        assert BaselineConfig("pgd", epochs=4).epochs == 4
+        with pytest.raises(TypeError):
+            NoiseDiffusionConfig(method="pgd")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nd.method = "pgd"
+
+    @pytest.mark.parametrize("bad", [dict(epochs=-1), dict(fd_budget=0), dict(fd_budget=-2),
+                                     dict(fd_step=0.0), dict(fd_step=-1e-3)])
+    @pytest.mark.parametrize("make", [NoiseDiffusionConfig, partial(BaselineConfig, "pgd")],
+                             ids=["noise-diffusion", "pgd"])
+    def test_shared_values_checked_at_construction(self, make, bad):
+        with pytest.raises(ValueError):
+            make(gradient_mode="finite-difference", **bad)
