@@ -27,7 +27,7 @@ from .diffusion import (
     Pipeline,
     build_schedule,
 )
-from .errors import ConfigError, ScheduleError, UnknownConditionError
+from .errors import ConfigError
 from .latents import RngStream
 from .optimizers import (
     BASELINE_METHODS,
@@ -51,6 +51,9 @@ SEED_ENV_VAR = "NOISEDIFF_SEED"
 METHODS = ("noise-diffusion",) + BASELINE_METHODS
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+
+# log of the smallest normal float64
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, tuple[str, int]]:
@@ -108,22 +111,15 @@ class ExperimentConfig:
         )
         # builds read every supported key, once, so unknown ones can be
         # rejected and the resolved map is complete
-        try:
-            cfg = replace(cfg, pipeline=cfg.build_pipeline())
-            cfg = replace(cfg, scorer=cfg.build_scorer(), optimizer=cfg._build_optimizer())
-        except ConfigError:
-            raise
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"{source}: {exc}")
+        cfg = replace(cfg, pipeline=cfg.build_pipeline())
+        cfg = replace(cfg, scorer=cfg.build_scorer(), optimizer=cfg._build_optimizer())
         if (
             cfg.optimizer.method in ("noise-diffusion", "pgd", "mean-variance")
             and isinstance(cfg.scorer, RemoteScorer)
             and cfg.optimizer.gradient_mode is not GradientMode.FINITE_DIFFERENCE
         ):
-            raise ConfigError(
-                f"{source}: remote scorers expose no analytic gradient; "
-                f"set gradient.mode = finite-difference or use a score-only method"
-            )
+            raise reader.error("gradient.mode", "remote scorers expose no analytic gradient; set "
+                               "gradient.mode = finite-difference or use a score-only method")
         reader.reject_unknown()
         resolved = dict(reader.used)
         resolved["seeds"] = ",".join(str(s) for s in cfg.seeds)
@@ -156,12 +152,14 @@ class ExperimentConfig:
         r = self._reader
         dim = r.int("dim", "64", minimum=1)
         timesteps = r.int("timesteps", "50", minimum=1)
-        beta_start = r.float("schedule.beta_start", "0.0001")
-        beta_end = r.float("schedule.beta_end", "0.02")
-        try:
-            schedule = build_schedule(timesteps, beta_start, beta_end)
-        except ScheduleError as exc:
-            raise r.error("schedule.beta_start", str(exc))
+        beta_start = r.float("schedule.beta_start", "0.0001", above=0, below=1)
+        if 1.0 - beta_start == 1.0:
+            raise r.error("schedule.beta_start", f"below float resolution, got {beta_start}")
+        beta_end = r.float("schedule.beta_end", "0.02", minimum=beta_start, below=1)
+        # a subnormal alpha_bar loses the strict decrease the schedule needs
+        if np.log1p(-np.linspace(beta_start, beta_end, timesteps)).sum() < _LOG_TINY:
+            raise r.error("schedule.beta_end", f"alpha_bar underflows within {timesteps} steps")
+        schedule = build_schedule(timesteps, beta_start, beta_end)
         if r.choice("denoiser.type", ("mixture", "constant"), "mixture") == "constant":
             model = ConstantDenoiser(r.vector("denoiser.constant.value", dim, "0.0"))
         else:
@@ -169,8 +167,10 @@ class ExperimentConfig:
                               if (m := re.match(r"denoiser\.component\.(\d+)\.", key))})
             if not indices:
                 indices = [0]  # default: single standard-normal component
-            if indices != list(range(len(indices))):
-                raise r.error("denoiser.type", f"component indices must be 0..K-1, got {indices}")
+            for position, k in enumerate(indices):
+                if k != position:
+                    raise r.error(r.keys_with_prefix(f"denoiser.component.{k}.")[0],
+                                  f"component indices must be 0..K-1, got {indices}")
             components = []
             for k in indices:
                 prefix = f"denoiser.component.{k}"
@@ -181,16 +181,9 @@ class ExperimentConfig:
                         var=r.float(f"{prefix}.var", "1.0", above=0),
                     )
                 )
-            condition_map = {}
-            for key in r.keys_with_prefix("denoiser.condition."):
-                name = key[len("denoiser.condition.") :]
-                condition_map[name] = r.int_list(key)
-            try:
-                model = AnalyticMixtureDenoiser(components, schedule, condition_map)
-            except Exception as exc:
-                raise r.error("denoiser.type", str(exc))
-        if model.dim != dim:
-            raise r.error("dim", f"denoiser dim {model.dim} != configured dim {dim}")
+            condition_map = {key[len("denoiser.condition."):]: r.index_list(key, len(components))
+                             for key in r.keys_with_prefix("denoiser.condition.")}
+            model = AnalyticMixtureDenoiser(components, schedule, condition_map)
 
         guidance = GuidanceConfig(
             w=r.float("guidance.scale", "7.5"),
@@ -200,10 +193,8 @@ class ExperimentConfig:
         if isinstance(model, AnalyticMixtureDenoiser):
             for key, name in (("guidance.condition", guidance.condition),
                               ("guidance.null_condition", guidance.null_condition)):
-                try:
-                    model.active_indices(name)
-                except UnknownConditionError as exc:
-                    raise r.error(key, exc.args[0])
+                if name is not None and name not in model.condition_map:
+                    raise r.error(key, f"unknown condition {name!r}")
 
         if r.choice("decoder.type", ("identity", "linear"), "identity") == "identity":
             decoder = IdentityDecoder()
@@ -239,9 +230,7 @@ class ExperimentConfig:
             j = 0
             while r.has(f"scorer.group.{j}.indices"):
                 prefix = f"scorer.group.{j}"
-                indices = r.index_list(f"{prefix}.indices")
-                if any(i >= sdim for i in indices):
-                    raise r.error(f"{prefix}.indices", f"index beyond sample dim {sdim}")
+                indices = r.index_list(f"{prefix}.indices", sdim)
                 groups.append(
                     TargetGroup(
                         indices=tuple(indices),
@@ -259,9 +248,12 @@ class ExperimentConfig:
             endpoint = parse_endpoint(r.str("scorer.remote.endpoint"))
         except ValueError as exc:
             raise r.error("scorer.remote.endpoint", str(exc))
+        prompt = r.str("scorer.prompt", "a synthetic benchmark target")
+        if not prompt:
+            raise r.error("scorer.prompt", "must be nonempty")
         return RemoteScorer(
             endpoint=endpoint,
-            prompt=r.str("scorer.prompt", "a synthetic benchmark target"),
+            prompt=prompt,
             timeout=r.float("scorer.remote.timeout_ms", "1000", above=0) / 1e3,
             retries=r.int("scorer.remote.retries", "1", minimum=0),
         )
@@ -278,23 +270,22 @@ class ExperimentConfig:
             fd_step=r.float("gradient.fd_step", "", above=0),
             fd_budget=r.int("gradient.fd_budget", "", minimum=1),
         )
-        noise_diffusion = NoiseDiffusionConfig(
+        noise_diffusion = dict(
             candidates=r.int("candidates", "50", minimum=1),
             v_norm_guard=r.float("v_norm_guard", "1e-12", above=0),
             strict_improvement=r.bool("strict", "false"),
-            **shared,
         )
-        baseline = BaselineConfig(
-            method=method if method in BASELINE_METHODS else "random-sampling",
+        baseline = dict(
             pgd_step=r.float("pgd.step", "0.05", minimum=0),
             pgd_radius=r.float("pgd.radius", "0.5", above=0),
             mv_learning_rate=r.float("mv.learning_rate", "0.01", above=0),
             mv_beta1=r.float("mv.beta1", "0.9", minimum=0, below=1),
             mv_beta2=r.float("mv.beta2", "0.999", minimum=0, below=1),
             mv_epsilon=r.float("mv.epsilon", "1e-8", above=0),
-            **shared,
         )
-        return noise_diffusion if method == "noise-diffusion" else baseline
+        if method == "noise-diffusion":
+            return NoiseDiffusionConfig(**noise_diffusion, **shared)
+        return BaselineConfig(method=method, **baseline, **shared)
 
     def resolved_text(self, overrides: dict[str, str] | None = None) -> str:
         """Flat serialization with defaults filled in and ``overrides``
@@ -401,8 +392,9 @@ class _Reader:
         except ValueError:
             raise self.error(key, f"expected comma-separated integers, got {raw!r}")
 
-    def index_list(self, key) -> list[int]:
-        """Comma-separated indices; ``a-b`` expands to the inclusive range."""
+    def index_list(self, key, size) -> list[int]:
+        """Distinct indices in ``0..size-1``, comma-separated; ``a-b``
+        expands to the inclusive range."""
         raw = self._raw(key, None)
         out: list[int] = []
         for part in raw.split(","):
@@ -410,18 +402,19 @@ class _Reader:
             if not part:
                 continue
             m = re.fullmatch(r"(\d+)-(\d+)", part)
-            if m:
-                lo, hi = int(m.group(1)), int(m.group(2))
-                if hi < lo:
-                    raise self.error(key, f"empty range {part!r}")
-                out.extend(range(lo, hi + 1))
-                continue
             try:
-                out.append(int(part))
+                lo, hi = (int(m.group(1)), int(m.group(2))) if m else (int(part), int(part))
             except ValueError:
                 raise self.error(key, f"expected indices or ranges, got {part!r}")
+            if hi < lo:
+                raise self.error(key, f"empty range {part!r}")
+            if lo < 0 or hi >= size:
+                raise self.error(key, f"{part!r} is outside 0..{size - 1}")
+            out.extend(range(lo, hi + 1))
         if not out:
             raise self.error(key, "index list is empty")
+        if len(set(out)) < len(out):
+            raise self.error(key, f"each index may appear once, got {raw!r}")
         return out
 
     def vector(self, key, length, default=None) -> np.ndarray:

@@ -118,12 +118,8 @@ class ConstantDenoiser(DenoiserModel):
     """Predicts the same vector regardless of input; the regime in which
     the one-pass gradient shortcut is exact."""
 
-    def __init__(self, value, dim: int | None = None):
+    def __init__(self, value):
         value = np.asarray(value, dtype=np.float64)
-        if value.ndim == 0:
-            if dim is None:
-                raise DimensionError("scalar constant needs an explicit dim")
-            value = np.full(dim, float(value))
         if value.ndim != 1:
             raise DimensionError("constant prediction must be a vector")
         self.value = value
@@ -195,6 +191,8 @@ class AnalyticMixtureDenoiser(DenoiserModel):
                 raise UnknownConditionError(f"condition {name!r} maps to no components")
             if any(i < 0 or i >= len(self.components) for i in idxs):
                 raise UnknownConditionError(f"condition {name!r} has out-of-range indices")
+            if len(set(idxs)) < len(idxs):
+                raise UnknownConditionError(f"condition {name!r} repeats a component")
         self._tables = {
             (t, c): self._table(t, c)
             for c in (None, *self.condition_map)

@@ -142,6 +142,8 @@ class TargetGroup:
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         if len(self.indices) != target.size:
             raise DimensionError("group target length must match its index set")
+        if min(self.indices, default=0) < 0 or len(set(self.indices)) < len(self.indices):
+            raise ValueError(f"group indices must be distinct and non-negative, got {self.indices}")
         if self.sharpness <= 0.0 or self.radius <= 0.0:
             raise ValueError("group radius and sharpness must be positive")
 

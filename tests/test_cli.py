@@ -241,10 +241,14 @@ class TestPlot:
     def test_empty_list_exit_2(self, tmp_path):
         assert main(["plot", "-o", str(tmp_path / "x.svg"), str(tmp_path / "missing.csv")]) == 2
 
-    def test_schema_mismatch_exit_2(self, tmp_path):
+    def test_schema_mismatch_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["plot", str(bad), "-o", str(tmp_path / "x.svg")]) == 2
+        summary = tmp_path / "summary.csv"
+        summary.write_text(f"{SUMMARY_HEADER}\n0,0.1,0.5,-1,,\n")
+        assert main(["plot", str(summary), "-o", str(tmp_path / "x.svg")]) == 2
+        assert f"{summary}: a summary CSV, not a trajectory CSV" in capsys.readouterr().err
 
     def test_bad_cell_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "trajectory_seed0.csv"
@@ -299,6 +303,18 @@ class TestDiagnose:
         bad.write_text(text)
         assert main(["diagnose", str(bad)]) == 2
         assert f"error: {bad}: line {lineno}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, note", [
+        (f"{TRAJECTORY_HEADER}\n0,0.5,0.5,,,,,1.0\n1,0.6,0.6,0.1,0.2,1.0,1.0,1.0\n"
+         "2,0.7,0.7,0.1,0.3,1.0,1.0,1.0\n3,0.6,0.7,0.1,-0.1,1.0,1.0,1.0\n",
+         "selected ratio quartiles: not enough recorded ratios"),
+        (f"{SUMMARY_HEADER}\n0,0.1,,,,\n1,,,,,\n", "no completed seeds"),
+    ], ids=["trajectory-three-ratios", "summary-no-completed-seed"])
+    def test_too_little_to_summarize(self, tmp_path, capsys, text, note):
+        artifact = tmp_path / "artifact.csv"
+        artifact.write_text(text)
+        assert main(["diagnose", str(artifact)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == note
 
     def test_seed_printed_as_written(self, tmp_path, capsys):
         latents = tmp_path / "final_latents.csv"

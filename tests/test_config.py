@@ -105,6 +105,11 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="denoiser.component.0.mean"):
             ExperimentConfig.from_text(MINIMAL + "denoiser.component.0.mean = 1,2,3\n")
 
+    def test_conditions_take_ranges(self):
+        text = MINIMAL + "".join(f"denoiser.component.{k}.weight = 1\n" for k in range(3))
+        model = ExperimentConfig.from_text(text + "denoiser.condition.a = 0-1,2\n").pipeline.model
+        assert model.condition_map == {"a": (0, 1, 2)}
+
     def test_component_indices_must_be_contiguous(self):
         with pytest.raises(ConfigError, match="0..K-1"):
             ExperimentConfig.from_text(MINIMAL + "denoiser.component.2.weight = 1\n")
@@ -131,7 +136,7 @@ class TestBuilders:
 
     def test_composite_index_beyond_dim(self):
         text = MINIMAL + "scorer.type = composite\nscorer.group.0.indices = 6-9\nscorer.group.0.target = 0\n"
-        with pytest.raises(ConfigError, match="beyond sample dim"):
+        with pytest.raises(ConfigError, match="'6-9' is outside 0..7"):
             ExperimentConfig.from_text(text)
 
     def test_quadratic_scorer_default(self):
@@ -209,7 +214,13 @@ class TestBuilders:
         assert nd.strict_improvement
 
 
-# values that used to pass parsing and fail (or do nothing) at run time
+COMPOSITE = "scorer.type = composite\nscorer.group.0.indices = 0\nscorer.group.0.target = 0\n"
+REMOTE_FD = ("scorer.type = remote\nscorer.remote.endpoint = http://127.0.0.1:1/s\n"
+             "gradient.mode = finite-difference\n")
+
+# values that used to pass parsing and fail (or do nothing) at run time, or
+# that were reported under another key or with no line; the last line is
+# the one at fault
 NAMED_AT_PARSE = [
     "v_norm_guard = nan\n",
     "pgd.radius = nan\n",
@@ -219,9 +230,17 @@ NAMED_AT_PARSE = [
     "mv.learning_rate = inf\n",
     "schedule.beta_end = nan\n",
     "denoiser.component.0.mean = 0,nan,0,0,0,0,0,0\n",
+    "denoiser.condition.a = 5\n",
+    "denoiser.condition.a =\n",
+    "denoiser.condition.a = 0,0\n",
+    "denoiser.component.2.weight = 1\n",
+    "scorer.type = composite\nscorer.group.0.target = 0\nscorer.group.0.indices = -1,1\n",
+    "scorer.type = composite\nscorer.group.0.target = 0\nscorer.group.0.indices = 0,0,1\n",
+    REMOTE_FD + "scorer.prompt =\n",
+    REMOTE_FD.replace("finite-difference", "approx-constant-eps"),
+    "schedule.beta_start = 1e-20\n",
+    "timesteps = 1000\nschedule.beta_end = 0.99\n",
 ]
-
-COMPOSITE = "scorer.type = composite\nscorer.group.0.indices = 0\nscorer.group.0.target = 0\n"
 
 # one value just outside each numeric key's bound, and that bound
 OUT_OF_RANGE = [
@@ -239,6 +258,9 @@ OUT_OF_RANGE = [
     (COMPOSITE + "scorer.group.0.radius = 0", "> 0"),
     (COMPOSITE + "scorer.group.0.sharpness = -2", "> 0"),
     ("gradient.fd_step = 0", "> 0"),
+    ("schedule.beta_start = 0", "> 0"),
+    ("schedule.beta_end = 1.5", "< 1"),
+    ("schedule.beta_start = 0.1\nschedule.beta_end = 0.05", ">= 0.1"),
 ]
 
 
@@ -249,7 +271,6 @@ class TestConstructionErrorsBecomeConfigErrors:
             "guidance.scale = nan\n",
             "scorer.quadratic.sharpness = -1\n",
             "denoiser.component.0.weight = 0\n",
-            "denoiser.condition.a = 5\n",
             "mv.beta1 = 1\n",
             "mv.beta2 = 1.0\n",
             "mv.epsilon = 0\n",
@@ -263,8 +284,9 @@ class TestConstructionErrorsBecomeConfigErrors:
 
     @pytest.mark.parametrize("extra", NAMED_AT_PARSE)
     def test_error_names_key_and_line(self, extra):
-        key = extra.split(" =")[0]
-        with pytest.raises(ConfigError, match=f"line 3: {key}:"):
+        lines = (MINIMAL + extra).splitlines()
+        key = lines[-1].split(" =")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"line {len(lines)}: {key}:")):
             ExperimentConfig.from_text(MINIMAL + extra)
 
     @pytest.mark.parametrize("extra, bound", OUT_OF_RANGE,
@@ -325,7 +347,7 @@ class TestRemoteGradientCompatibility:
     )
 
     def test_gradient_method_needs_fd(self):
-        with pytest.raises(ConfigError, match="finite-difference"):
+        with pytest.raises(ConfigError, match="^<config>: gradient.mode: .*finite-difference"):
             ExperimentConfig.from_text(self.REMOTE)
 
     def test_fd_mode_accepted(self):

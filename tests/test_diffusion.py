@@ -272,6 +272,13 @@ class TestAnalyticMixtureEps:
         with pytest.raises(UnknownConditionError):
             AnalyticMixtureDenoiser(comp, sched, {"a": [5]})
 
+    def test_condition_may_not_repeat_a_component(self):
+        # a repeated index would count that component's weight twice
+        sched = build_schedule(10)
+        comp = [MixtureComponent(1.0, np.zeros(2), 1.0), MixtureComponent(1.0, np.ones(2), 1.0)]
+        with pytest.raises(UnknownConditionError, match="repeats a component"):
+            AnalyticMixtureDenoiser(comp, sched, {"a": [0, 0, 1]})
+
 
 def _direct_mixture_eps(den, z, t, condition, sched):
     """Mixture eps rebuilt from the components on every call: the

@@ -127,6 +127,13 @@ class TestScorers:
                 s = float(sc.score(x))
                 assert np.isfinite(s) and 0.0 <= s <= 1.0
 
+    @pytest.mark.parametrize("indices", [(0, 0, 1), (-1, 1, 2)])
+    def test_group_indices_distinct_and_non_negative(self, indices):
+        # numpy's x[idx] += g applies a repeated index once, so a repeat
+        # would halve that coordinate's gradient
+        with pytest.raises(ValueError, match="distinct and non-negative"):
+            TargetGroup(indices, np.zeros(3), 1.0, 1.0)
+
     def test_composite_gradient_at_group_target_is_finite(self):
         # kink point: direction is undefined, convention is zero
         sc = CompositeTargetScorer([TargetGroup((0, 1), np.zeros(2), 1.0, 2.0)])
