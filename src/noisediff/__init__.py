@@ -33,7 +33,6 @@ from .diffusion import (
     build_schedule,
     cfg_predict,
     ddim_step,
-    forward_diffuse,
 )
 from .errors import (
     ConfigError,
@@ -83,7 +82,6 @@ from .scoring import (
     grad_latent_fd,
     latent_gradient,
     remote_score,
-    score_latent,
 )
 
 __version__ = "0.1.0"

@@ -48,6 +48,10 @@ __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "SEED_ENV_VAR
 
 SEED_ENV_VAR = "NOISEDIFF_SEED"
 
+# RngStream takes each seed mod 2^64, so a seed outside this range would
+# repeat the draws of another
+_MAX_SEED = 2**64 - 1
+
 METHODS = ("noise-diffusion",) + BASELINE_METHODS
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -133,15 +137,21 @@ class ExperimentConfig:
             raise reader.error("seeds", "expected at least one seed")
         if len(set(explicit)) < len(explicit):
             raise reader.error("seeds", f"each seed may appear once, got {explicit}")
+        for seed in explicit:
+            if not 0 <= seed <= _MAX_SEED:
+                raise reader.error("seeds", f"each seed must be in 0..{_MAX_SEED}, got {seed}")
         count = reader.int("seeds.count", "", minimum=1)
         if count is not None and reader.has("seeds"):
             raise reader.error("seeds.count", "set seeds or seeds.count, not both")
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             try:
-                return [int(env)]
+                seed = int(env)
             except ValueError:
                 raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+            if not 0 <= seed <= _MAX_SEED:
+                raise ConfigError(f"{SEED_ENV_VAR} must be in 0..{_MAX_SEED}, got {seed}")
+            return [seed]
         if count is not None:
             return list(range(count))
         return explicit

@@ -1,4 +1,4 @@
-"""Noise schedules, forward diffusion, and the deterministic DDIM pipeline.
+"""Noise schedules and the deterministic DDIM pipeline.
 
 Timesteps are 1-based: ``alpha_bar(t)`` is defined for t in [0, T] with
 ``alpha_bar(0) == 1``, and a reverse step maps z_t to z_{t-1} for t >= 1.
@@ -18,7 +18,6 @@ from .errors import DimensionError, NonFiniteError, ScheduleError, UnknownCondit
 __all__ = [
     "NoiseSchedule",
     "build_schedule",
-    "forward_diffuse",
     "DenoiserModel",
     "ConstantDenoiser",
     "MixtureComponent",
@@ -67,11 +66,6 @@ class NoiseSchedule:
             raise ScheduleError(f"timestep {t} outside [0, {self.T}]")
         return float(self.alpha_bars[t])
 
-    @classmethod
-    def degenerate(cls) -> "NoiseSchedule":
-        """T = 0 schedule: the pipeline reduces to the decoder alone."""
-        return cls(np.ones(1))
-
 
 def build_schedule(
     T: int,
@@ -87,16 +81,6 @@ def build_schedule(
         )
     alphas = 1.0 - np.linspace(beta_start, beta_end, T)
     return NoiseSchedule(np.concatenate([[1.0], np.cumprod(alphas)]))
-
-
-def forward_diffuse(z0, t: int, noise, sched: NoiseSchedule) -> np.ndarray:
-    """Noising step: sqrt(ab_t) * z0 + sqrt(1 - ab_t) * noise."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if z0.shape != noise.shape:
-        raise DimensionError(f"shape mismatch: {z0.shape} vs {noise.shape}")
-    ab = sched.alpha_bar(t)
-    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * noise
 
 
 class DenoiserModel:
@@ -188,11 +172,11 @@ class AnalyticMixtureDenoiser(DenoiserModel):
         self.condition_map = {name: tuple(idxs) for name, idxs in (condition_map or {}).items()}
         for name, idxs in self.condition_map.items():
             if not idxs:
-                raise UnknownConditionError(f"condition {name!r} maps to no components")
+                raise ValueError(f"condition {name!r} maps to no components")
             if any(i < 0 or i >= len(self.components) for i in idxs):
-                raise UnknownConditionError(f"condition {name!r} has out-of-range indices")
+                raise ValueError(f"condition {name!r} has out-of-range indices")
             if len(set(idxs)) < len(idxs):
-                raise UnknownConditionError(f"condition {name!r} repeats a component")
+                raise ValueError(f"condition {name!r} repeats a component")
         self._tables = {
             (t, c): self._table(t, c)
             for c in (None, *self.condition_map)
@@ -203,16 +187,9 @@ class AnalyticMixtureDenoiser(DenoiserModel):
     def schedule(self) -> NoiseSchedule:
         return self._schedule
 
-    def active_indices(self, condition) -> list[int]:
-        if condition is None:
-            return list(range(len(self.components)))
-        if condition not in self.condition_map:
-            raise UnknownConditionError(f"unknown condition {condition!r}")
-        return list(self.condition_map[condition])
-
     def _table(self, t: int, condition) -> _MixtureTable:
         ab = self._schedule.alpha_bar(t)
-        idxs = self.active_indices(condition)
+        idxs = range(len(self.components)) if condition is None else self.condition_map[condition]
         w = np.array([self.components[i].weight for i in idxs])
         w = w / w.sum()
         variances = np.array([ab * self.components[i].var + 1.0 - ab for i in idxs])

@@ -21,7 +21,7 @@ class ScheduleError(NoiseDiffError, ValueError):
     """Invalid schedule parameters or a timestep outside [0, T]."""
 
 
-class UnknownConditionError(NoiseDiffError, KeyError):
+class UnknownConditionError(NoiseDiffError, ValueError):
     """A condition id that the denoiser's condition map does not define."""
 
 
@@ -31,7 +31,8 @@ class GradientUnavailableError(NoiseDiffError, RuntimeError):
 
 
 class NonFiniteError(NoiseDiffError):
-    """The sampler produced a non-finite value (NaN or infinity)."""
+    """A latent given to the library, or one the sampler produced, has a
+    non-finite entry (NaN or infinity)."""
 
 
 class ScorerContractError(NoiseDiffError, RuntimeError):

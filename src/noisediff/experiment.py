@@ -95,8 +95,8 @@ def read_csv(path: str) -> tuple[str, dict[str, list]]:
     cell a float, NaN for an empty trajectory or summary cell.
 
     Blank lines are skipped. An unreadable file, an unknown header, a row
-    of the wrong width or a non-numeric cell is a ConfigError naming the
-    file and the line.
+    of the wrong width, or a non-numeric or non-finite (nan, inf) cell is
+    a ConfigError naming the file and the line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -120,13 +120,18 @@ def read_csv(path: str) -> tuple[str, dict[str, list]]:
                 if name == "seed":
                     int(cell)
                     columns[name].append(cell)
-                else:
-                    blank = cell == "" and kind != "latents"
-                    columns[name].append(float("nan") if blank else float(cell))
+                    continue
+                value = float("nan") if cell == "" and kind != "latents" else float(cell)
             except ValueError:
                 raise ConfigError(
                     f"{path}: line {lineno}: {name}: expected a number, got {cell!r}"
                 )
+            # the writers never emit nan or inf; only an empty cell reads as NaN
+            if cell and not np.isfinite(value):
+                raise ConfigError(
+                    f"{path}: line {lineno}: {name}: expected a finite number, got {cell!r}"
+                )
+            columns[name].append(value)
     return kind, columns
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy import stats
 
-from .errors import DimensionError, InsufficientSampleError
+from .errors import DimensionError, InsufficientSampleError, NonFiniteError
 
 __all__ = [
     "RngStream",
@@ -209,8 +209,8 @@ class DistributionReport:
 def as_latent(values, dim: int | None = None) -> np.ndarray:
     """Validate and return a latent as a 1-D float64 array.
 
-    Rejects empty, non-1-D, and non-finite input; if ``dim`` is given the
-    length must match.
+    Empty or non-1-D input, or a length other than ``dim`` when that is
+    given, is a DimensionError; a NaN or infinite entry a NonFiniteError.
     """
     z = np.asarray(values, dtype=np.float64)
     if z.ndim != 1:
@@ -220,7 +220,7 @@ def as_latent(values, dim: int | None = None) -> np.ndarray:
     if dim is not None and z.size != dim:
         raise DimensionError(f"latent has dim {z.size}, expected {dim}")
     if not np.all(np.isfinite(z)):
-        raise DimensionError("latent contains non-finite entries")
+        raise NonFiniteError("latent contains non-finite entries")
     return z
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "CompositeTargetScorer",
     "GradientMode",
     "checked_score",
-    "score_latent",
     "grad_latent_approx",
     "grad_latent_fd",
     "grad_latent_chain",
@@ -215,12 +214,6 @@ def _scorer_gradient(scorer: Scorer, sample):
     if not np.all(np.isfinite(gs)):
         raise ScorerContractError("scorer gradient has non-finite entries")
     return gs
-
-
-def score_latent(z_T, pipeline: Pipeline, scorer: Scorer) -> float:
-    """Score of the initial latent: denoise, decode, score. Deterministic."""
-    _, sample = pipeline.forward(z_T)
-    return checked_score(scorer, sample)
 
 
 def grad_latent_approx(

@@ -1,5 +1,8 @@
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from noisediff.experiment import (
 )
 from noisediff.plotting import emit_plot
 from noisediff.scoring import Scorer
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(tmp_path, method="noise-diffusion", epochs=5, seeds="0,1", extra=""):
@@ -155,6 +160,28 @@ class TestRunExperiment:
         with np.errstate(all="ignore"):
             assert main(["run", str(cfg_path)]) == 4
         assert os.listdir(tmp_path / "out") == ["config.resolved.txt"]
+
+    def test_blas_thread_count_leaves_outputs_unchanged(self, tmp_path):
+        """The artifacts of configs/quick.txt are the same bytes, wall_ms
+        cut, whether OpenBLAS runs one thread or two."""
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "noisediff.cli", "run", str(ROOT / "configs" / "quick.txt"),
+                 "-o", str(out)], env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(out)
+        names = sorted(os.listdir(outputs[0]))
+        assert names == sorted(os.listdir(outputs[1]))
+        assert {"summary.csv", "final_latents.csv", "trajectory_seed2.csv"} <= set(names)
+        for name in names:
+            fa, fb = (out / name for out in outputs)
+            if name.startswith("trajectory_"):
+                assert strip_wall(fa) == strip_wall(fb)
+            else:
+                assert fa.read_bytes() == fb.read_bytes()
 
     def test_baseline_method_via_cli(self, tmp_path):
         cfg_path = small_config(tmp_path, method="random-diffusion", epochs=3, seeds="0")
@@ -303,6 +330,22 @@ class TestDiagnose:
         bad.write_text(text)
         assert main(["diagnose", str(bad)]) == 2
         assert f"error: {bad}: line {lineno}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "+Infinity", "1e400"])
+    @pytest.mark.parametrize("text, lineno, column", [
+        ("seed,z0,z1\n0,0.1,0.2\n1,0.3,{cell}\n", 3, "z1"),
+        (f"{TRAJECTORY_HEADER}\n0,0.5,0.5,,,,,1.0\n1,0.6,0.6,0.1,{{cell}},1.0,1.0,1.0\n", 3,
+         "selected_ratio"),
+    ], ids=["latents", "trajectory"])
+    def test_non_finite_cell_exit_2(self, tmp_path, capsys, text, lineno, column, cell):
+        # nothing the program writes holds nan or inf; an empty cell is the
+        # only missing value
+        bad = tmp_path / "artifact.csv"
+        bad.write_text(text.format(cell=cell))
+        assert main(["diagnose", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line {lineno}: {column}: expected a finite number, got {cell!r}\n"
+        )
 
     @pytest.mark.parametrize("text, note", [
         (f"{TRAJECTORY_HEADER}\n0,0.5,0.5,,,,,1.0\n1,0.6,0.6,0.1,0.2,1.0,1.0,1.0\n"

@@ -73,6 +73,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text(MINIMAL)
 
+    @pytest.mark.parametrize("seeds, bad", [("5,18446744073709551621", 2**64 + 5),
+                                            ("-1,3", -1)])
+    def test_seed_outside_stream_range_rejected(self, seeds, bad):
+        # RngStream takes each seed mod 2^64: 2^64 + 5 would rerun seed 5,
+        # and -1 would rerun seed 2^64 - 1
+        with pytest.raises(ConfigError) as caught:
+            ExperimentConfig.from_text(MINIMAL + f"seeds = {seeds}\n")
+        assert f"line 3: seeds: each seed must be in 0..{2**64 - 1}, got {bad}" in str(caught.value)
+        cfg = ExperimentConfig.from_text(MINIMAL + f"seeds = 0,{2**64 - 1}\n")
+        assert cfg.seeds == [0, 2**64 - 1]
+
+    @pytest.mark.parametrize("env", [str(2**64), "-1"])
+    def test_env_seed_outside_stream_range_rejected(self, monkeypatch, env):
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+        with pytest.raises(ConfigError, match=f"{SEED_ENV_VAR} must be in 0..{2**64 - 1}, got {env}"):
+            ExperimentConfig.from_text(MINIMAL)
+        monkeypatch.setenv(SEED_ENV_VAR, str(2**64 - 1))
+        assert ExperimentConfig.from_text(MINIMAL).seeds == [2**64 - 1]
+
     def test_resolved_text_roundtrip(self):
         cfg = ExperimentConfig.from_text(MINIMAL + "epochs = 7\nscorer.type = quadratic-sigmoid\n")
         again = ExperimentConfig.from_text(cfg.resolved_text())

@@ -16,10 +16,10 @@ from noisediff.diffusion import (
     build_schedule,
     cfg_predict,
     ddim_step,
-    forward_diffuse,
 )
 from noisediff.errors import (
     DimensionError,
+    NoiseDiffError,
     NonFiniteError,
     ScheduleError,
     UnknownConditionError,
@@ -80,11 +80,10 @@ class TestBuildSchedule:
         assert build_schedule(5) == build_schedule(5)
         assert build_schedule(5) != build_schedule(6)
         assert build_schedule(5) != build_schedule(5, 1e-3, 0.02)
-        assert NoiseSchedule.degenerate() == NoiseSchedule(np.ones(1))
         assert build_schedule(5) != build_schedule(5).alpha_bars.tolist()
 
     def test_degenerate(self):
-        s = NoiseSchedule.degenerate()
+        s = NoiseSchedule(np.ones(1))
         assert s.T == 0
         assert s.alpha_bar(0) == 1.0
 
@@ -94,38 +93,6 @@ class TestBuildSchedule:
             s.alpha_bar(4)
         with pytest.raises(ScheduleError):
             s.alpha_bar(-1)
-
-
-class TestForwardDiffuse:
-    def test_t_zero_identity(self):
-        s = build_schedule(5)
-        z0 = np.array([1.0, -2.0, 3.0])
-        out = forward_diffuse(z0, 0, np.ones(3), s)
-        np.testing.assert_array_equal(out, z0)
-
-    def test_quarter_alpha_bar(self):
-        s = NoiseSchedule(np.array([1.0, 0.25]))
-        out = forward_diffuse(np.array([2.0, 0.0]), 1, np.array([0.0, 2.0]), s)
-        np.testing.assert_allclose(out, [1.0, np.sqrt(3.0)])
-
-    def test_matches_scalar_loop(self):
-        s = build_schedule(50)
-        gen = RngStream(1, "fd").generator()
-        z0 = gen.standard_normal(16)
-        noise = gen.standard_normal(16)
-        for t in (1, 25, 50):
-            out = forward_diffuse(z0, t, noise, s)
-            ab = s.alpha_bar(t)
-            for i in range(16):
-                expect = np.sqrt(ab) * z0[i] + np.sqrt(1.0 - ab) * noise[i]
-                assert abs(out[i] - expect) <= 1e-12 * max(1.0, abs(expect))
-
-    def test_errors(self):
-        s = build_schedule(2)
-        with pytest.raises(ScheduleError):
-            forward_diffuse(np.zeros(2), 3, np.zeros(2), s)
-        with pytest.raises(DimensionError):
-            forward_diffuse(np.zeros(2), 1, np.zeros(3), s)
 
 
 class TestCfgPredict:
@@ -261,23 +228,34 @@ class TestAnalyticMixtureEps:
     def test_unknown_condition(self):
         sched = build_schedule(10)
         den = AnalyticMixtureDenoiser([MixtureComponent(1.0, np.zeros(2), 1.0)], sched, {"a": [0]})
-        with pytest.raises(UnknownConditionError):
+        with pytest.raises(UnknownConditionError) as caught:
             den.predict(np.zeros(2), 5, "b")
+        # a ValueError, so its message prints as written, without quotes
+        assert isinstance(caught.value, (NoiseDiffError, ValueError))
+        assert KeyError not in type(caught.value).__mro__
+        assert str(caught.value) == "unknown condition 'b'"
 
     def test_condition_map_validation(self):
+        # a malformed map is a bad argument, like a bad component: a plain
+        # ValueError that names the condition
         sched = build_schedule(10)
         comp = [MixtureComponent(1.0, np.zeros(2), 1.0)]
-        with pytest.raises(UnknownConditionError):
-            AnalyticMixtureDenoiser(comp, sched, {"a": []})
-        with pytest.raises(UnknownConditionError):
-            AnalyticMixtureDenoiser(comp, sched, {"a": [5]})
+        for indices, message in (([], "condition 'a' maps to no components"),
+                                 ([5], "condition 'a' has out-of-range indices"),
+                                 ([-1], "condition 'a' has out-of-range indices")):
+            with pytest.raises(ValueError) as caught:
+                AnalyticMixtureDenoiser(comp, sched, {"a": indices})
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == message
 
     def test_condition_may_not_repeat_a_component(self):
         # a repeated index would count that component's weight twice
         sched = build_schedule(10)
         comp = [MixtureComponent(1.0, np.zeros(2), 1.0), MixtureComponent(1.0, np.ones(2), 1.0)]
-        with pytest.raises(UnknownConditionError, match="repeats a component"):
+        with pytest.raises(ValueError) as caught:
             AnalyticMixtureDenoiser(comp, sched, {"a": [0, 0, 1]})
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "condition 'a' repeats a component"
 
 
 def _direct_mixture_eps(den, z, t, condition, sched):
@@ -285,7 +263,7 @@ def _direct_mixture_eps(den, z, t, condition, sched):
     reference the tabulated path must match bit for bit."""
     z = np.asarray(z, dtype=np.float64)
     ab = sched.alpha_bar(t)
-    idxs = den.active_indices(condition)
+    idxs = range(len(den.components)) if condition is None else den.condition_map[condition]
     w = np.array([den.components[i].weight for i in idxs])
     w = w / w.sum()
     means = np.sqrt(ab) * np.stack([den.components[i].mean for i in idxs])
@@ -373,7 +351,7 @@ class TestDenoisePipeline:
         assert equal.forward(z)[0].tobytes() == pipe.forward(z)[0].tobytes()
 
     def test_degenerate_schedule_is_identity(self):
-        sched = NoiseSchedule.degenerate()
+        sched = NoiseSchedule(np.ones(1))
         model = ConstantDenoiser(np.zeros(3))
         z = np.array([1.0, 2.0, 3.0])
         z0, sample = Pipeline(model, GuidanceConfig(w=7.5), sched).forward(z)

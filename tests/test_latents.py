@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisediff.errors import DimensionError, InsufficientSampleError
+from noisediff.errors import DimensionError, InsufficientSampleError, NonFiniteError
 from noisediff.latents import (
     RngStream,
     as_latent,
@@ -65,9 +65,9 @@ class TestSampling:
 
 class TestAsLatent:
     def test_validates_finite(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(NonFiniteError):
             as_latent([1.0, np.nan])
-        with pytest.raises(DimensionError):
+        with pytest.raises(NonFiniteError):
             as_latent([1.0, np.inf])
 
     def test_dim_check(self):

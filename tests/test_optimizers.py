@@ -29,11 +29,11 @@ from noisediff.optimizers import (
     step_difference,
     step_size_gamma,
 )
-from noisediff.scoring import GradientMode, Scorer, latent_gradient, score_latent
+from noisediff.scoring import GradientMode, Scorer, checked_score, latent_gradient
 
 
 def identity_pipeline(dim):
-    return Pipeline(ConstantDenoiser(np.zeros(dim)), GuidanceConfig(w=7.5), NoiseSchedule.degenerate())
+    return Pipeline(ConstantDenoiser(np.zeros(dim)), GuidanceConfig(w=7.5), NoiseSchedule(np.ones(1)))
 
 
 class ConstantOneScorer(Scorer):
@@ -241,7 +241,7 @@ class TestRunNoiseDiffusion:
         assert all(r.grad_norm is not None for r in rec.rows[1:])
         # the recorded score path matches rescoring the recorded latents
         for z, row in zip(rec.latents, rec.rows):
-            assert score_latent(z, pipe, scorer) == pytest.approx(row.score, abs=1e-12)
+            assert checked_score(scorer, pipe.forward(z)[1]) == pytest.approx(row.score, abs=1e-12)
 
 
 class TestRunBaseline:
@@ -252,7 +252,7 @@ class TestRunBaseline:
         cfg = BaselineConfig(method="random-sampling", epochs=1)
         rec = run_baseline(z0, pipe, scorer, cfg, rng)
         fresh = rng.normal(16, 1)
-        expect = max(score_latent(z0, pipe, scorer), score_latent(fresh, pipe, scorer))
+        expect = max(checked_score(scorer, pipe.forward(z)[1]) for z in (z0, fresh))
         assert rec.best_score == pytest.approx(expect, abs=1e-15)
 
     def test_pgd_zero_step_is_constant(self):
@@ -404,7 +404,7 @@ class TestSharedLoop:
         assert [r.best_score for r in rec.rows] == list(np.maximum.accumulate(scores))
         assert rec.best_score == rec.rows[-1].best_score
         assert scorer.score(rec.best_sample) == rec.best_score
-        assert score_latent(rec.best_latent, pipe, scorer) == rec.best_score
+        assert checked_score(scorer, pipe.forward(rec.best_latent)[1]) == rec.best_score
         assert len(rec.latents) == epochs + 1
         np.testing.assert_array_equal(rec.final_latent, rec.latents[-1])
 

@@ -29,17 +29,17 @@ from noisediff.scoring import (
     QuadraticSigmoidScorer,
     Scorer,
     TargetGroup,
+    checked_score,
     format_vqa_question,
     grad_latent_approx,
     grad_latent_chain,
     grad_latent_fd,
     latent_gradient,
-    score_latent,
 )
 
 
 def identity_pipeline(dim):
-    return Pipeline(ConstantDenoiser(np.zeros(dim)), GuidanceConfig(w=7.5), NoiseSchedule.degenerate())
+    return Pipeline(ConstantDenoiser(np.zeros(dim)), GuidanceConfig(w=7.5), NoiseSchedule(np.ones(1)))
 
 
 class AffineScorer(Scorer):
@@ -172,13 +172,13 @@ class TestScorers:
 class TestScoreLatent:
     def test_degenerate_pipeline_at_target(self):
         sc = QuadraticSigmoidScorer(target=np.full(4, 0.2), sharpness=1.0, offset=0.7)
-        s = score_latent(np.full(4, 0.2), identity_pipeline(4), sc)
+        s = checked_score(sc, identity_pipeline(4).forward(np.full(4, 0.2))[1])
         assert s == pytest.approx(1.0 / (1.0 + np.exp(-0.7)))
 
     def test_deterministic(self):
         pipe, sc = _mixture_setup()
         z = RngStream(2, "det").normal(6)
-        assert score_latent(z, pipe, sc) == score_latent(z, pipe, sc)
+        assert checked_score(sc, pipe.forward(z)[1]) == checked_score(sc, pipe.forward(z)[1])
 
     def test_matches_independent_recompute(self):
         """Same score when the denoise loop is re-run by hand."""
@@ -186,7 +186,7 @@ class TestScoreLatent:
 
         pipe, sc = _mixture_setup()
         z = RngStream(3, "rec").normal(6)
-        via_op = score_latent(z, pipe, sc)
+        via_op = checked_score(sc, pipe.forward(z)[1])
         cur = z.copy()
         for t in range(pipe.schedule.T, 0, -1):
             cur = ddim_step(cur, t, cfg_predict(pipe.model, cur, t, pipe.guidance), pipe.schedule)
@@ -194,7 +194,7 @@ class TestScoreLatent:
 
     def test_contract_violation_raises(self):
         with pytest.raises(ScorerContractError):
-            score_latent(np.zeros(4), identity_pipeline(4), BadScorer())
+            checked_score(BadScorer(), identity_pipeline(4).forward(np.zeros(4))[1])
 
 
 class TestGradLatentApprox:
@@ -234,7 +234,7 @@ class TestGradLatentApprox:
         pipe = Pipeline(
             ConstantDenoiser(np.zeros(4)),
             GuidanceConfig(w=7.5),
-            NoiseSchedule.degenerate(),
+            NoiseSchedule(np.ones(1)),
             LinearDecoder(W),
         )
         sc = QuadraticSigmoidScorer(target=np.zeros(3), sharpness=0.3, offset=0.5)
@@ -344,9 +344,9 @@ def fd_per_probe(z, pipeline, scorer, h, coords):
     for i in range(z.size) if coords is None else coords:
         bumped = z.copy()
         bumped[i] = z[i] + h
-        plus = score_latent(bumped, pipeline, scorer)
+        plus = checked_score(scorer, pipeline.forward(bumped)[1])
         bumped[i] = z[i] - h
-        minus = score_latent(bumped, pipeline, scorer)
+        minus = checked_score(scorer, pipeline.forward(bumped)[1])
         grad[i] = (plus - minus) / (2.0 * h)
     return grad
 
