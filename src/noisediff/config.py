@@ -52,6 +52,14 @@ SEED_ENV_VAR = "NOISEDIFF_SEED"
 # repeat the draws of another
 _MAX_SEED = 2**64 - 1
 
+
+def _seed_range_error(seed: int) -> str | None:
+    """What is wrong with ``seed`` as an RngStream seed, None if nothing."""
+    if not 0 <= seed <= _MAX_SEED:
+        return f"must be in 0..{_MAX_SEED}, got {seed}"
+    return None
+
+
 METHODS = ("noise-diffusion",) + BASELINE_METHODS
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -138,8 +146,8 @@ class ExperimentConfig:
         if len(set(explicit)) < len(explicit):
             raise reader.error("seeds", f"each seed may appear once, got {explicit}")
         for seed in explicit:
-            if not 0 <= seed <= _MAX_SEED:
-                raise reader.error("seeds", f"each seed must be in 0..{_MAX_SEED}, got {seed}")
+            if problem := _seed_range_error(seed):
+                raise reader.error("seeds", f"each seed {problem}")
         count = reader.int("seeds.count", "", minimum=1)
         if count is not None and reader.has("seeds"):
             raise reader.error("seeds.count", "set seeds or seeds.count, not both")
@@ -149,8 +157,8 @@ class ExperimentConfig:
                 seed = int(env)
             except ValueError:
                 raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-            if not 0 <= seed <= _MAX_SEED:
-                raise ConfigError(f"{SEED_ENV_VAR} must be in 0..{_MAX_SEED}, got {seed}")
+            if problem := _seed_range_error(seed):
+                raise ConfigError(f"{SEED_ENV_VAR} {problem}")
             return [seed]
         if count is not None:
             return list(range(count))
@@ -210,7 +218,7 @@ class ExperimentConfig:
             decoder = IdentityDecoder()
         else:
             rows = r.int("decoder.linear.rows", minimum=1)
-            gen = RngStream(r.int("decoder.linear.seed", "0"), "decoder").generator()
+            gen = RngStream(r.seed("decoder.linear.seed", "0"), "decoder").generator()
             decoder = LinearDecoder(gen.standard_normal((rows, dim)) / np.sqrt(dim))
         return Pipeline(model, guidance, schedule, decoder)
 
@@ -219,7 +227,7 @@ class ExperimentConfig:
         standard-normal draw seeded by ``<key>_seed``."""
         r = self._reader
         if r.has(f"{key}_seed"):
-            return RngStream(r.int(f"{key}_seed"), key).normal(length)
+            return RngStream(r.seed(f"{key}_seed"), key).normal(length)
         return r.vector(key, length, "0.0")
 
     def build_scorer(self) -> Scorer:
@@ -374,6 +382,13 @@ class _Reader:
             raise self.error(key, f"expected an integer, got {raw!r}")
         if minimum is not None and value < minimum:
             raise self.error(key, f"must be >= {minimum}, got {value}")
+        return value
+
+    def seed(self, key, default=None) -> int:
+        """An integer RngStream seed in ``0.._MAX_SEED``."""
+        value = self.int(key, default)
+        if problem := _seed_range_error(value):
+            raise self.error(key, problem)
         return value
 
     def float(self, key, default=None, minimum=None, above=None, below=None) -> float | None:

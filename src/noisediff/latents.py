@@ -1,5 +1,10 @@
 """Gaussian latent vectors: seeded sampling and normality diagnostics.
 
+``ks_normality`` computes the KS test from ``special.ndtr`` and
+``special.kolmogorov`` and matches ``scipy.stats.kstest`` with
+``method="asymp"`` bit for bit; ``scipy.stats`` itself loads only on the
+first call of ``moment_diagnostics``.
+
 A latent is a plain 1-D float64 ndarray; ``as_latent`` is the validating
 constructor. Randomness comes from :class:`RngStream`, a counter-style
 source where (seed, label, draw index) fully determines every draw, so
@@ -19,11 +24,12 @@ arrays. Its row k is the same draw, bit for bit, as
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import stats
+from scipy import special
 
 from .errors import DimensionError, InsufficientSampleError, NonFiniteError
 
@@ -243,6 +249,8 @@ def moment_diagnostics(z) -> DistributionReport:
         raise InsufficientSampleError("moment diagnostics need dim >= 2")
     variance = float(z.var(ddof=1))
     if variance > 0.0:
+        from scipy import stats  # here, not at import: a run never needs it
+
         skewness = float(stats.skew(z))
         excess_kurtosis = float(stats.kurtosis(z))
     else:
@@ -260,9 +268,17 @@ def ks_normality(z) -> tuple[float, float]:
     """One-sample KS statistic and asymptotic p-value against N(0, 1).
 
     Treats the coordinates of ``z`` as the sample; needs dim >= 8.
+    Computed from ``special.ndtr`` and ``special.kolmogorov`` in the steps
+    of ``scipy.stats.kstest(z, "norm", method="asymp")``, and equal to its
+    statistic and p-value bit for bit.
     """
     z = as_latent(z)
-    if z.size < 8:
+    n = z.size
+    if n < 8:
         raise InsufficientSampleError("KS normality test needs dim >= 8")
-    result = stats.kstest(z, "norm", method="asymp")
-    return float(result.statistic), float(result.pvalue)
+    cdf = special.ndtr(np.sort(z))
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    d = d_plus if d_plus > d_minus else d_minus
+    p = np.clip(special.kolmogorov(d * math.sqrt(n)), 0.0, 1.0)
+    return float(d), float(p)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noisediff.analysis import distribution_report
 from noisediff.benchmarks import composite_benchmark_config
 from noisediff.cli import main
 from noisediff.config import ExperimentConfig
@@ -19,6 +20,7 @@ from noisediff.experiment import (
     run_single,
     run_sweep,
 )
+from noisediff.latents import RngStream
 from noisediff.plotting import emit_plot
 from noisediff.scoring import Scorer
 
@@ -386,6 +388,42 @@ class TestDiagnose:
         assert main(["diagnose", str(trajectory)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:] == ["epochs: 0", "no scored epoch: the trajectory has a header only"]
+
+
+def _fresh_python(code):
+    """stdout of ``code`` in a new interpreter, then whether it loaded
+    scipy.stats, as the last line."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+class TestScipyStatsOffTheRunPath:
+    """scipy.stats is most of a cold start and only the moment diagnostics
+    need it, so the package import and a run leave it unloaded."""
+
+    def test_import(self):
+        assert _fresh_python("import noisediff, noisediff.cli") == ["False"]
+
+    def test_quick_run(self, tmp_path):
+        out = tmp_path / "out"
+        code = (f"from noisediff.cli import main\n"
+                f"print(main(['run', {str(ROOT / 'configs' / 'quick.txt')!r}, '-o', {str(out)!r}]))")
+        assert _fresh_python(code)[-2:] == ["0", "False"]
+        assert (out / "summary.csv").read_text().count("\n") == 4
+
+    def test_diagnose_latents_loads_it_for_the_moments(self, tmp_path):
+        z = RngStream(5, "diagnose").normal(16)
+        latents = tmp_path / "final_latents.csv"
+        latents.write_text("seed," + ",".join(f"z{i}" for i in range(16)) + "\n"
+                           + "5," + ",".join(repr(float(x)) for x in z) + "\n")
+        lines = _fresh_python(f"from noisediff.cli import main\nmain(['diagnose', {str(latents)!r}])")
+        report = distribution_report(z)
+        assert f"skew={report.skewness:+.4f} exkurt={report.excess_kurtosis:+.4f}" in lines[-2]
+        assert lines[-1] == "True"
 
 
 class TestFiveMethodPlot:

@@ -10,6 +10,13 @@ from noisediff.errors import ConfigError
 from noisediff.scoring import CompositeTargetScorer, QuadraticSigmoidScorer, RemoteScorer
 
 MINIMAL = "method = noise-diffusion\ndim = 8\n"
+# every form of RngStream seed key, with the lines it needs after MINIMAL
+SEED_KEYS = {
+    "decoder.linear.seed": "decoder.type = linear\ndecoder.linear.rows = 4\n",
+    "denoiser.component.0.mean_seed": "",
+    "scorer.quadratic.target_seed": "",
+    "scorer.group.0.target_seed": "scorer.type = composite\nscorer.group.0.indices = 0-3\n",
+}
 
 
 class TestParse:
@@ -91,6 +98,19 @@ class TestExperimentConfig:
             ExperimentConfig.from_text(MINIMAL)
         monkeypatch.setenv(SEED_ENV_VAR, str(2**64 - 1))
         assert ExperimentConfig.from_text(MINIMAL).seeds == [2**64 - 1]
+
+    @pytest.mark.parametrize("key", SEED_KEYS)
+    def test_seed_keys_outside_stream_range_rejected(self, key):
+        setup = SEED_KEYS[key]
+        # the same aliasing as in seeds: -1 would draw what 2^64 - 1 draws
+        lineno = (MINIMAL + setup).count("\n") + 1
+        for bad in (-1, 2**64):
+            with pytest.raises(ConfigError) as caught:
+                ExperimentConfig.from_text(MINIMAL + setup + f"{key} = {bad}\n")
+            assert f"line {lineno}: {key}: must be in 0..{2**64 - 1}, got {bad}" in str(caught.value)
+        built = [ExperimentConfig.from_text(MINIMAL + setup + f"{key} = {good}\n")
+                 for good in (0, 2**64 - 1)]
+        assert [cfg.resolved[key] for cfg in built] == ["0", str(2**64 - 1)]
 
     def test_resolved_text_roundtrip(self):
         cfg = ExperimentConfig.from_text(MINIMAL + "epochs = 7\nscorer.type = quadratic-sigmoid\n")

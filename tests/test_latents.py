@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisediff.errors import DimensionError, InsufficientSampleError, NonFiniteError
@@ -13,7 +13,7 @@ from noisediff.latents import (
     moment_diagnostics,
     sample_standard_normal,
 )
-from scipy.stats import norm
+from scipy.stats import kstest, norm
 
 # Reference output of the pinned generator (PCG64 seeded from
 # (seed, label) entropy); regenerate only if the generator changes.
@@ -132,6 +132,44 @@ class TestKsNormality:
         gen = RngStream(0, "uniform").generator()
         _, p = ks_normality(gen.uniform(-1, 1, size=10**4))
         assert p < 1e-6
+
+
+# values where ndtr saturates at 0 or 1, underflows, or sits on a sign
+_KS_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                             40.0, -40.0, 1e308, -1e308, np.finfo(np.float64).max])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _ks_samples(draw):
+    """A sample of 8..4096 coordinates: a scaled and shifted normal draw,
+    the same with heavy ties, or a constant vector; the first two with a
+    few coordinates overwritten by edge values."""
+    n = draw(st.integers(8, 4096))
+    kind = draw(st.sampled_from(["normal", "ties", "constant"]))
+    if kind == "constant":
+        return np.full(n, draw(_KS_EDGES | _FINITE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal(n) * draw(st.floats(1e-3, 1e3)) + draw(st.floats(-5.0, 5.0))
+    if kind == "ties":
+        z = rng.choice(z[: draw(st.integers(1, 8))], size=n)
+    for value in draw(st.lists(_KS_EDGES | _FINITE, max_size=8)):
+        z[rng.integers(n)] = value
+    return z
+
+
+class TestKsMatchesScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(z=_ks_samples())
+    @example(z=np.zeros(8))
+    @example(z=np.array([-0.0, 0.0] * 6))
+    @example(z=np.full(9, 5e-324))
+    @example(z=np.full(9, -1e308))
+    @example(z=np.repeat([0.1, -0.2, 3.0], 40))
+    def test_statistic_and_pvalue_bit_equal(self, z):
+        ref = kstest(z, "norm", method="asymp")
+        stat, p = ks_normality(z)
+        assert np.array([stat, p]).tobytes() == np.array([ref.statistic, ref.pvalue]).tobytes()
 
 
 class TestMixtureComposition:
