@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateStepError, InsufficientSampleError
+from .errors import InsufficientSampleError
 from .latents import DistributionReport, RngStream, ks_normality, moment_diagnostics
+from .optimizers import _alignment
 
 __all__ = [
     "FeasibilityReport",
@@ -81,11 +82,15 @@ def probe_hessian_bound(
     center = np.asarray(center, dtype=np.float64)
     if h is None:
         h = 1e-2 * radius
+    if not (0.0 < radius < np.inf and 0.0 < h < np.inf):
+        raise ValueError(f"probe radius and step must be positive and finite, got {radius}, {h}")
     estimate = 0.0
     outliers: list[float] = []
     for k in range(num_probes):
         gen = rng.generator(k)
-        point = center + _uniform_ball(gen, center.size, radius)
+        direction = gen.standard_normal(center.size)
+        direction /= np.linalg.norm(direction)
+        point = center + radius * gen.uniform() ** (1.0 / center.size) * direction
         u = gen.standard_normal(center.size)
         u /= np.linalg.norm(u)
         quad = abs(
@@ -109,12 +114,6 @@ def estimate_hessian_bound(
     return probe_hessian_bound(score_fn, center, radius, num_probes, rng, h).estimate
 
 
-def _uniform_ball(gen: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    direction = gen.standard_normal(dim)
-    direction /= np.linalg.norm(direction)
-    return radius * gen.uniform() ** (1.0 / dim) * direction
-
-
 def check_improvement_condition(
     s: float,
     s_next: float,
@@ -130,13 +129,12 @@ def check_improvement_condition(
     s_next >= s + delta ||v||^2 (up to ``tol``); otherwise the theorem
     makes no claim and the report passes vacuously.
     """
-    if c < 0.0:
-        raise ValueError("Hessian bound c must be >= 0")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    v = np.asarray(v, dtype=np.float64)
-    ratio = selection_ratio(grad, v)
-    vv = float(v @ v)
+    if not c >= 0.0:
+        raise ValueError(f"Hessian bound c must be >= 0, got {c}")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    ratios, vvs = _alignment(grad, np.asarray(v, dtype=np.float64)[None], 1e-12)
+    ratio, vv = float(ratios[0]), float(vvs[0])
     triggered = ratio >= c / 2.0 + delta
     floor = s + delta * vv
     satisfied = (not triggered) or (s_next >= floor - tol)
@@ -152,13 +150,8 @@ def check_improvement_condition(
 
 
 def selection_ratio(grad, v, v_norm_guard: float = 1e-12) -> float:
-    """grad . v / ||v||^2, the quantity candidate selection maximizes."""
-    grad = np.asarray(grad, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    vv = float(v @ v)
-    if vv < v_norm_guard:
-        raise DegenerateStepError("step difference has near-zero norm")
-    return float(grad @ v) / vv
+    """grad . v / ||v||^2, candidate selection's ratio of one step (NaN for a NaN step)."""
+    return float(_alignment(grad, np.asarray(v, dtype=np.float64)[None], v_norm_guard)[0][0])
 
 
 def ratio_quartiles(trajectories) -> tuple[float, float, float]:

@@ -31,6 +31,7 @@ from .errors import ConfigError
 from .latents import RngStream
 from .optimizers import (
     BASELINE_METHODS,
+    GRADIENT_METHODS,
     BaselineConfig,
     NoiseDiffusionConfig,
 )
@@ -126,7 +127,7 @@ class ExperimentConfig:
         cfg = replace(cfg, pipeline=cfg.build_pipeline())
         cfg = replace(cfg, scorer=cfg.build_scorer(), optimizer=cfg._build_optimizer())
         if (
-            cfg.optimizer.method in ("noise-diffusion", "pgd", "mean-variance")
+            cfg.optimizer.method in GRADIENT_METHODS
             and isinstance(cfg.scorer, RemoteScorer)
             and cfg.optimizer.gradient_mode is not GradientMode.FINITE_DIFFERENCE
         ):

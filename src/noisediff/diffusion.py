@@ -129,9 +129,9 @@ class MixtureComponent:
         mean = np.array(self.mean, dtype=np.float64)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        if self.weight <= 0.0:
+        if not self.weight > 0.0:
             raise ValueError(f"component weight must be positive, got {self.weight}")
-        if self.var <= 0.0:
+        if not self.var > 0.0:
             raise ValueError(f"component variance must be positive, got {self.var}")
 
 

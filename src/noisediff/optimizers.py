@@ -45,9 +45,11 @@ __all__ = [
     "run_baseline",
     "run_lockstep",
     "BASELINE_METHODS",
+    "GRADIENT_METHODS",
 ]
 
 BASELINE_METHODS = ("pgd", "mean-variance", "random-sampling", "random-diffusion")
+GRADIENT_METHODS = ("noise-diffusion", "pgd", "mean-variance")  # those that call latent_gradient
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -90,8 +92,8 @@ class NoiseDiffusionConfig(_MethodSettings):
         super().__post_init__()
         if self.candidates < 1:
             raise ValueError("need at least one candidate noise")
-        if self.v_norm_guard <= 0.0:
-            raise ValueError("v_norm_guard must be positive")
+        if not self.v_norm_guard > 0.0:
+            raise ValueError(f"v_norm_guard must be positive, got {self.v_norm_guard}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,9 @@ class BaselineConfig(_MethodSettings):
         super().__post_init__()
         if self.method not in BASELINE_METHODS:
             raise ValueError(f"unknown baseline {self.method!r}")
-        if self.pgd_step < 0.0 or self.pgd_radius <= 0.0:
+        if not (self.pgd_step >= 0.0 and self.pgd_radius > 0.0):
             raise ValueError("pgd step must be >= 0 and radius > 0")
-        if self.mv_learning_rate <= 0.0:
+        if not self.mv_learning_rate > 0.0:
             raise ValueError("mean-variance learning rate must be positive")
         # beta = 1 makes Adam's bias correction 0/0
         if not (0.0 <= self.mv_beta1 < 1.0 and 0.0 <= self.mv_beta2 < 1.0):
@@ -144,9 +146,12 @@ class TrajectoryRecord:
     best_latent: np.ndarray | None = None
     best_sample: np.ndarray | None = None
     final_latent: np.ndarray | None = None
-    incomplete: bool = False
-    failure: str | None = None
+    failure: str | None = None  # the scorer failure that ended the run
     latents: list[np.ndarray] | None = None
+
+    @property
+    def incomplete(self) -> bool:
+        return self.failure is not None
 
     def epochs_to(self, threshold: float) -> int:
         """First epoch whose best score reaches ``threshold``; -1 if never."""
@@ -210,42 +215,44 @@ def apply_update(z, gamma: float, sigma) -> np.ndarray:
     return np.sqrt(1.0 - gamma) * z + np.sqrt(gamma) * sigma
 
 
+def _alignment(grad, steps: np.ndarray, v_norm_guard: float) -> tuple[np.ndarray, np.ndarray]:
+    """(grad . v / ||v||^2, ||v||^2) per row v of the (N, d) ``steps``; the stacked
+    matmul runs ``grad @ v``'s and ``v @ v``'s ddot per row (gemv would not)."""
+    if not v_norm_guard > 0.0:
+        raise ValueError(f"v_norm_guard must be > 0, got {v_norm_guard}")
+    grad = np.asarray(grad, dtype=np.float64)
+    if steps.ndim != 2 or grad.shape != steps.shape[1:]:
+        raise DimensionError(f"steps {steps.shape} are not (N, d) for gradient {grad.shape}")
+    vv = (steps[:, None, :] @ steps[:, :, None])[:, 0, 0]
+    if np.all(vv < v_norm_guard):
+        raise DegenerateStepError("all step differences were near zero")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (grad @ steps[:, :, None])[:, 0] / vv, vv
+
+
 def select_noise(
     grad, z, gamma: float, candidates, v_norm_guard: float = 1e-12
 ) -> tuple[int, float]:
     """Pick the candidate maximizing grad . v_i / ||v_i||^2.
 
-    ``candidates`` is an (N, d) array or a list of N d-vectors. All step
-    differences are formed in one broadcast; the two dot products stay
-    one BLAS call per row, so every ratio has the bits of the per-vector
-    formula. Candidates whose step difference has squared norm below the
-    guard are skipped, NaN ratios never win, and ties break to the lowest
-    index. Raises DegenerateStepError if nothing survives (caller
-    resamples).
+    ``candidates`` is an (N, d) array or a list of N d-vectors, selected
+    from as one block. The guard must be > 0; candidates whose step
+    difference has squared norm below it are skipped, NaN and -inf ratios
+    never win, and ties go to the lowest index. Raises
+    DegenerateStepError if nothing survives (caller resamples).
     """
     if len(candidates) == 0:
         raise DegenerateStepError("no candidate noises to select from")
-    grad = np.asarray(grad, dtype=np.float64)
     try:
         sigmas = np.asarray(candidates, dtype=np.float64)
     except ValueError as exc:
         raise DimensionError(f"candidates of unequal shapes: {exc}") from exc
-    if sigmas.ndim != 2:
-        raise DimensionError(f"candidates must be an (N, d) array, got shape {sigmas.shape}")
-    steps = step_difference(z, gamma, sigmas)
-    best_index = -1
-    best_ratio = -np.inf
-    for i, v in enumerate(steps):
-        vv = float(v @ v)
-        if vv < v_norm_guard:
-            continue
-        ratio = float(grad @ v) / vv
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_index = i
-    if best_index < 0:
-        raise DegenerateStepError("all candidate step differences were near zero")
-    return best_index, best_ratio
+    ratios, vv = _alignment(grad, step_difference(z, gamma, sigmas), v_norm_guard)
+    ratios[(vv < v_norm_guard) | np.isnan(ratios)] = -np.inf
+    index = int(np.argmax(ratios))  # the first maximum
+    if ratios[index] == -np.inf:
+        raise DegenerateStepError("every candidate ratio was NaN or -inf")
+    return index, float(ratios[index])
 
 
 @dataclass
@@ -270,7 +277,6 @@ class _Seed:
         try:
             return fn(*args)
         except (ScorerUnavailableError, ScorerContractError) as exc:
-            self.rec.incomplete = True
             self.rec.failure = f"{type(exc).__name__}: {exc}"
             return None
 

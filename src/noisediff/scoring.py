@@ -83,8 +83,8 @@ class QuadraticSigmoidScorer(Scorer):
         self.target = np.asarray(target, dtype=np.float64)
         if self.target.ndim != 1:
             raise DimensionError("target must be a vector")
-        if sharpness <= 0.0:
-            raise ValueError("sharpness must be positive")
+        if not sharpness > 0.0:
+            raise ValueError(f"sharpness must be positive, got {sharpness}")
         self.sharpness = float(sharpness)
         self.offset = float(offset)
 
@@ -143,7 +143,7 @@ class TargetGroup:
             raise DimensionError("group target length must match its index set")
         if min(self.indices, default=0) < 0 or len(set(self.indices)) < len(self.indices):
             raise ValueError(f"group indices must be distinct and non-negative, got {self.indices}")
-        if self.sharpness <= 0.0 or self.radius <= 0.0:
+        if not (self.sharpness > 0.0 and self.radius > 0.0):
             raise ValueError("group radius and sharpness must be positive")
 
 
@@ -258,9 +258,11 @@ def grad_latent_fd(
     z = np.asarray(z_T, dtype=np.float64)
     if h is None:
         h = DEFAULT_FD_STEP * (1.0 + float(np.max(np.abs(z))))
-    if h <= 0.0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {h}")
     probe = np.arange(z.size) if coords is None else np.asarray(coords, dtype=np.intp)
+    if probe.ndim != 1 or np.unique(probe[(probe >= 0) & (probe < z.size)]).size != probe.size:
+        raise ValueError(f"coords must be distinct indices in 0..{z.size - 1}, got {coords!r}")
     grad = np.zeros_like(z)
     if probe.size == 0:
         return grad

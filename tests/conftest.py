@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -123,3 +126,49 @@ class CountingPipeline:
 @pytest.fixture
 def counting_pipeline():
     return CountingPipeline
+
+
+def platform_fingerprint() -> str:
+    """The kernels that decide the bits of a pinned output, as
+    ``numpy 2.4.6, X86_V4/AVX512_SPR, OpenBLAS SkylakeX``: numpy's
+    version, its highest enabled ``X86_V*`` and ``AVX512_*`` features,
+    and the core numpy's bundled OpenBLAS picked when it loaded."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    enabled = [name for name, on in __cpu_features__.items() if on]
+    simd = [[n for n in enabled if n.startswith(prefix)][-1:] for prefix in ("X86_V", "AVX512_")]
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (IndexError, OSError, AttributeError):
+        core = "unknown"
+    return f"numpy {np.__version__}, {'/'.join(sum(simd, [])) or 'baseline'}, OpenBLAS {core}"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "pinned_on(platform): the test compares outputs with literals taken on "
+        "``platform``, a platform_fingerprint; a failure reports both platforms"
+    )
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = yield
+    marker = item.get_closest_marker("pinned_on")
+    if marker and report.when == "call" and report.failed:
+        pinned, here = marker.args[0], platform_fingerprint()
+        verdict = (
+            "same platform, so a mismatch with the literals is a regression"
+            if here == pinned
+            else "other platform: its kernels may give other bits from correct code"
+        )
+        report.sections.append(("pinned platform", f"literals pinned on: {pinned}\n"
+                                f"this host:         {here}\n{verdict}"))
+    return report

@@ -79,6 +79,14 @@ class TestHessianBoundEstimator:
         with pytest.raises(ValueError):
             estimate_hessian_bound(lambda z: 0.0, np.zeros(2), 1.0, 0, RngStream(0, "h"))
 
+    @pytest.mark.parametrize("radius, h", [(float("nan"), None), (0.0, None), (-1.0, None),
+                                           (float("inf"), None), (1.0, 0.0), (1.0, float("nan")),
+                                           (1.0, float("inf"))])
+    @pytest.mark.parametrize("probe", [probe_hessian_bound, estimate_hessian_bound])
+    def test_radius_and_step_must_be_positive_and_finite(self, probe, radius, h):
+        with pytest.raises(ValueError, match="radius"):
+            probe(lambda z: 0.0, np.zeros(2), radius, 5, RngStream(0, "h"), h=h)
+
 
 class TestImprovementCondition:
     def test_affine_score_is_tight(self):
@@ -113,6 +121,16 @@ class TestImprovementCondition:
             check_improvement_condition(0.5, 0.5, np.ones(2), np.ones(2), c=-1.0, delta=0.1)
         with pytest.raises(ValueError):
             check_improvement_condition(0.5, 0.5, np.ones(2), np.ones(2), c=0.0, delta=0.0)
+
+    @pytest.mark.parametrize("c, delta", [(float("nan"), 0.1), (0.0, float("nan"))])
+    def test_nan_parameter_rejected(self, c, delta):
+        with pytest.raises(ValueError):
+            check_improvement_condition(0.5, 0.5, np.ones(2), np.ones(2), c=c, delta=delta)
+
+    def test_infinite_bound_is_vacuous(self):
+        rep = check_improvement_condition(0.5, 0.0, np.ones(2), np.ones(2), c=float("inf"),
+                                          delta=0.1)
+        assert (rep.triggered, rep.satisfied) == (False, True)
 
     def test_monte_carlo_no_violations(self):
         """Probes constructed to satisfy the ratio condition must all

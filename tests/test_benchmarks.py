@@ -35,7 +35,12 @@ PINNED = {
           0.013824803214694432]),
 }
 
+# The platform these literals were taken on (``platform_fingerprint`` in
+# conftest.py); other numpy SIMD levels or OpenBLAS kernels give other bits.
+PINNED_ON = "numpy 2.4.6, X86_V4/AVX512_SPR, OpenBLAS SkylakeX"
 
+
+@pytest.mark.pinned_on(PINNED_ON)
 @pytest.mark.parametrize("env_seed", [None, "9"])
 @pytest.mark.parametrize("timesteps", [10, 50])
 def test_composite_benchmark_matches_pinned_literals(timesteps, env_seed, monkeypatch):
@@ -75,3 +80,12 @@ def test_quick_config_differs_from_the_generated_text_in_its_run_size_only():
         assert key == theirs.partition(" = ")[0]
         if key not in ("epochs", "candidates", "seeds", "output"):
             assert ours == theirs
+
+
+def test_platform_fingerprint_names_numpy_simd_and_blas():
+    from conftest import platform_fingerprint
+
+    numpy_part, simd, blas = platform_fingerprint().split(", ")
+    assert numpy_part == f"numpy {np.__version__}"
+    assert simd == "baseline" or simd.split("/")[0].startswith(("X86_V", "AVX512_"))
+    assert blas.startswith("OpenBLAS ")

@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisediff import optimizers
+from noisediff.analysis import selection_ratio
 from noisediff.benchmarks import quadratic_benchmark
-from noisediff.diffusion import ConstantDenoiser, GuidanceConfig, NoiseSchedule, Pipeline
+from noisediff.diffusion import (
+    ConstantDenoiser,
+    GuidanceConfig,
+    MixtureComponent,
+    NoiseSchedule,
+    Pipeline,
+)
 from noisediff.errors import (
     DegenerateStepError,
     DimensionError,
@@ -29,7 +36,14 @@ from noisediff.optimizers import (
     step_difference,
     step_size_gamma,
 )
-from noisediff.scoring import GradientMode, Scorer, checked_score, latent_gradient
+from noisediff.scoring import (
+    GradientMode,
+    QuadraticSigmoidScorer,
+    Scorer,
+    TargetGroup,
+    checked_score,
+    latent_gradient,
+)
 
 
 def identity_pipeline(dim):
@@ -422,6 +436,14 @@ class TestTrajectoryRecord:
         assert rec.epochs_to(0.9) == 1
         assert rec.epochs_to(0.99) == -1
 
+    def test_incomplete_is_read_from_the_failure(self):
+        rec = TrajectoryRecord(method="x")
+        assert not rec.incomplete
+        rec.failure = "ScorerUnavailableError: down"
+        assert rec.incomplete
+        with pytest.raises(AttributeError):
+            rec.incomplete = False
+
     def test_validate_rejects_decreasing_best(self):
         from noisediff.optimizers import EpochRow
 
@@ -455,9 +477,9 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
-def _selection_problem(draw):
+def _selection_problem(draw, entries=_ENTRIES):
     d = draw(st.integers(1, 6))
-    vec = st.lists(_ENTRIES, min_size=d, max_size=d).map(np.array)
+    vec = st.lists(entries, min_size=d, max_size=d).map(np.array)
     grad = draw(vec)
     z = draw(st.one_of(st.just(np.zeros(d)), vec))
     rows = []
@@ -519,6 +541,79 @@ class TestSelectNoiseAgainstLoop:
             select_noise(np.ones(3), np.zeros(3), 1.5, np.ones((2, 3)))
         with pytest.raises(DegenerateStepError):
             select_noise(np.ones(3), np.zeros(3), 0.5, [])
+
+
+_WIDE_ENTRIES = st.one_of(_ENTRIES, st.sampled_from([1e200, float("inf"), float("-inf")]))
+
+
+@st.composite
+def _guarded_problem(draw):
+    """A selection problem with NaN and infinite entries, and a guard at,
+    just below or just above the squared norm of one of its rows."""
+    grad, z, gamma, rows = draw(_selection_problem(_WIDE_ENTRIES))
+    v = step_difference(z, gamma, rows[draw(st.integers(0, len(rows) - 1))])
+    vv = float(v @ v)
+    guard = float(draw(st.sampled_from([vv, np.nextafter(vv, np.inf), np.nextafter(vv, 0.0)])))
+    return grad, z, gamma, rows, guard if guard > 0.0 else 1e-12
+
+
+class TestOneSelectionRule:
+    """``select_noise`` and ``selection_ratio`` share one block
+    computation of grad . v / ||v||^2; it keeps the per-vector rule and
+    bits, and checks its guard and shapes."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on inf and 1e200
+    @settings(max_examples=400, deadline=None)
+    @given(problem=_guarded_problem())
+    def test_block_equals_the_loop_at_the_guard(self, problem):
+        grad, z, gamma, rows, guard = problem
+        try:
+            expected = _reference_select(grad, z, gamma, rows, guard)
+        except DegenerateStepError:
+            with pytest.raises(DegenerateStepError):
+                select_noise(grad, z, gamma, np.stack(rows), guard)
+            return
+        assert select_noise(grad, z, gamma, np.stack(rows), guard) == expected
+
+    def test_row_at_the_guard_is_kept_and_below_it_skipped(self):
+        block = np.array([[3.0, 0.0], [0.0, -1.0]])
+        grad = np.array([1.0, 1.0])
+        assert select_noise(grad, np.zeros(2), 1.0, block, 9.0) == (0, 1.0 / 3.0)
+        assert select_noise(grad, np.zeros(2), 1.0, block, np.nextafter(1.0, 0.0)) == (0, 1.0 / 3.0)
+        assert select_noise(grad, np.zeros(2), 1.0, block, np.nextafter(9.0, 0.0)) == (0, 1.0 / 3.0)
+        with pytest.raises(DegenerateStepError):
+            select_noise(grad, np.zeros(2), 1.0, block, np.nextafter(9.0, np.inf))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on inf and 1e200
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 8))
+    def test_selection_ratio_has_the_formula_bits(self, data, d):
+        vec = st.lists(_WIDE_ENTRIES, min_size=d, max_size=d).map(np.array)
+        g, v = data.draw(vec), data.draw(vec)
+        vv = float(v @ v)
+        if vv < 1e-12:
+            with pytest.raises(DegenerateStepError):
+                selection_ratio(g, v)
+            return
+        got, want = selection_ratio(g, v), float(g @ v) / vv
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()  # -0.0 too
+
+    @pytest.mark.parametrize("guard", [0.0, -1.0, float("nan")])
+    def test_guard_must_be_positive(self, guard):
+        with pytest.raises(ValueError, match="v_norm_guard"):
+            select_noise(np.ones(3), np.zeros(3), 0.5, np.ones((2, 3)), guard)
+        with pytest.raises(ValueError, match="v_norm_guard"):
+            selection_ratio(np.ones(3), np.ones(3), guard)
+
+    @pytest.mark.parametrize("grad", [np.ones(4), np.ones(2), np.ones((2, 3)), 1.0])
+    def test_gradient_shape_must_match(self, grad):
+        with pytest.raises(DimensionError):
+            select_noise(grad, np.zeros(3), 0.5, np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            selection_ratio(grad, np.ones(3))
 
 
 class TestBlockCandidates:
@@ -699,3 +794,37 @@ class TestSharedGradientSettings:
     def test_shared_values_checked_at_construction(self, make, bad):
         with pytest.raises(ValueError):
             make(gradient_mode="finite-difference", **bad)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NoiseDiffusionConfig(v_norm_guard=_NAN),
+    lambda: BaselineConfig("pgd", pgd_step=_NAN),
+    lambda: BaselineConfig("pgd", pgd_radius=_NAN),
+    lambda: BaselineConfig("mean-variance", mv_learning_rate=_NAN),
+    lambda: QuadraticSigmoidScorer(np.zeros(2), sharpness=_NAN),
+    lambda: TargetGroup((0,), np.zeros(1), radius=_NAN, sharpness=1.0),
+    lambda: TargetGroup((0,), np.zeros(1), radius=1.0, sharpness=_NAN),
+    lambda: MixtureComponent(weight=_NAN, mean=np.zeros(2), var=1.0),
+    lambda: MixtureComponent(weight=1.0, mean=np.zeros(2), var=_NAN),
+], ids=["v_norm_guard", "pgd_step", "pgd_radius", "mv_learning_rate", "quadratic.sharpness",
+        "group.radius", "group.sharpness", "component.weight", "component.var"])
+def test_nan_rejected_where_a_positive_value_is_required(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_exactly_the_gradient_methods_take_a_gradient(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(method)
+        return latent_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "latent_gradient", counting)
+    pipe, scorer = _QUADRATIC
+    for method in ("noise-diffusion",) + optimizers.BASELINE_METHODS:
+        TestForwardPasses()._run(method, pipe, scorer)
+    assert sorted(set(calls)) == sorted(optimizers.GRADIENT_METHODS)

@@ -334,6 +334,17 @@ class TestGradLatentFd:
         with pytest.raises(ValueError):
             grad_latent_fd(np.zeros(3), identity_pipeline(3), AffineScorer(np.zeros(3)), h=0.0)
 
+    @pytest.mark.parametrize("h", [-1e-3, float("nan"), float("inf")])
+    def test_negative_or_non_finite_step_rejected(self, h):
+        with pytest.raises(ValueError, match="finite-difference step"):
+            grad_latent_fd(np.zeros(3), identity_pipeline(3), AffineScorer(np.zeros(3)), h=h)
+
+    @pytest.mark.parametrize("coords", [[-1], [3], [99], [1, 1], [[0, 1]]])
+    def test_coordinates_must_be_distinct_and_in_range(self, coords):
+        with pytest.raises(ValueError, match="coords"):
+            grad_latent_fd(np.zeros(3), identity_pipeline(3), AffineScorer(np.zeros(3)),
+                           h=1e-3, coords=coords)
+
 
 def fd_per_probe(z, pipeline, scorer, h, coords):
     """Reference for ``grad_latent_fd``: every probe latent through its
