@@ -270,10 +270,13 @@ class ExperimentConfig:
         prompt = r.str("scorer.prompt", "a synthetic benchmark target")
         if not prompt:
             raise r.error("scorer.prompt", "must be nonempty")
+        timeout = r.float("scorer.remote.timeout_ms", "1000", above=0) / 1e3
+        if timeout == 0.0:
+            raise r.error("scorer.remote.timeout_ms", "too small, rounds to 0 seconds")
         return RemoteScorer(
             endpoint=endpoint,
             prompt=prompt,
-            timeout=r.float("scorer.remote.timeout_ms", "1000", above=0) / 1e3,
+            timeout=timeout,
             retries=r.int("scorer.remote.retries", "1", minimum=0),
         )
 

@@ -197,7 +197,8 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     aborted on a scorer failure, with the partial artifacts written and
     flagged in status.txt (the other seeds run on). The artifacts an
     earlier run left in the output directory are removed first, so none
-    outlives a rerun with fewer seeds or one that fails early.
+    outlives a rerun with fewer seeds or one that fails early. The scorer
+    is closed when the seeds are done, however they end.
     """
     out_dir = output if output is not None else config.output
     owned = glob.glob(os.path.join(glob.escape(out_dir), "trajectory_seed*.csv"))
@@ -215,12 +216,17 @@ def run_experiment(config: ExperimentConfig, output: str | None = None) -> Exper
     result = ExperimentResult(exit_code=EXIT_OK, output_dir=out_dir)
     summary_lines = [SUMMARY_HEADER]
     latent_rows: list[str] = []
-    records = run_lockstep(
-        [_seed_start(config, seed) for seed in config.seeds],
-        config.pipeline,
-        config.scorer,
-        config.optimizer,
-    )
+    try:
+        records = run_lockstep(
+            [_seed_start(config, seed) for seed in config.seeds],
+            config.pipeline,
+            config.scorer,
+            config.optimizer,
+        )
+    finally:
+        # a kept-alive connection left open would hold a single-threaded
+        # score service until its idle timeout, stalling the next run
+        config.scorer.close()
     for seed, record in zip(config.seeds, records):
         result.records[seed] = record
         write_trajectory_csv(record, os.path.join(out_dir, f"trajectory_seed{seed}.csv"))

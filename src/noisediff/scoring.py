@@ -23,6 +23,9 @@ from __future__ import annotations
 import enum
 import http.client
 import json
+import math
+import numbers
+import socket
 from dataclasses import dataclass
 from urllib.parse import quote, urlsplit
 
@@ -53,6 +56,7 @@ __all__ = [
     "format_vqa_question",
     "Endpoint",
     "parse_endpoint",
+    "RemoteSession",
     "remote_score",
     "RemoteScorer",
 ]
@@ -70,6 +74,10 @@ class Scorer:
         """Analytic gradient w.r.t. sample coordinates; None if the scorer
         is black-box."""
         return None
+
+    def close(self):
+        """Release what the scorer holds open between calls; a no-op
+        unless the scorer keeps a connection."""
 
 
 class QuadraticSigmoidScorer(Scorer):
@@ -386,26 +394,105 @@ def parse_endpoint(url: str | Endpoint) -> Endpoint:
     return Endpoint(https, parts.hostname, port, target)
 
 
+def _check_limits(timeout, retries) -> None:
+    """ValueError unless ``timeout`` is a finite number of seconds > 0 and
+    ``retries`` an int >= 0."""
+    if isinstance(timeout, bool) or not (
+        isinstance(timeout, numbers.Real) and 0.0 < timeout < math.inf
+    ):
+        raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
+    if isinstance(retries, bool) or not (isinstance(retries, numbers.Integral) and retries >= 0):
+        raise ValueError(f"retries must be an int >= 0, got {retries!r}")
+
+
+# A server that writes a reply's headers and body in two sends with Nagle
+# on, as the standard library's http.server does, holds the body until the
+# headers are acknowledged, and on a reused connection the client delays
+# that ACK by ~40 ms. TCP_QUICKACK, set after each request, acks at once.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
+class RemoteSession:
+    """One connection to a score service, kept alive across requests.
+
+    It opens at the first request, and closes when a reply says it will,
+    when an attempt fails, when a request goes to another endpoint or
+    timeout, and at ``close``. Constructing a session opens nothing.
+    """
+
+    def __init__(self):
+        self._conn: http.client.HTTPConnection | None = None
+        self._opened_for: tuple[Endpoint, float] | None = None
+
+    def post(self, endpoint: Endpoint, timeout: float, body: bytes, headers) -> bytes:
+        """POST ``body`` and return the body of a 200 reply.
+
+        Any failure closes the connection and raises ScorerUnavailableError.
+        A reused connection that the server dropped while it was idle is
+        resent once on a fresh one; a timeout is never resent.
+        """
+        if self._opened_for != (endpoint, timeout):
+            self.close()
+        while True:
+            reused = self._conn is not None
+            if not reused:
+                self._conn = endpoint.connect(timeout)
+                self._opened_for = (endpoint, timeout)
+            conn = self._conn
+            try:
+                conn.request("POST", endpoint.target, body=body, headers=headers)
+                if _QUICKACK is not None:
+                    conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+                resp = conn.getresponse()
+                data = resp.read()
+            except (http.client.RemoteDisconnected, ConnectionResetError,
+                    BrokenPipeError) as exc:
+                self.close()
+                if reused:
+                    continue  # dropped while idle; the next pass opens a fresh one
+                raise ScorerUnavailableError(f"score service unreachable: {exc}")
+            except (OSError, http.client.HTTPException) as exc:
+                self.close()
+                raise ScorerUnavailableError(f"score service unreachable: {exc}")
+            # without TCP_QUICKACK every reused reply would wait out the delayed ACK
+            if resp.will_close or _QUICKACK is None or resp.status != 200:
+                self.close()
+            if resp.status != 200:
+                raise ScorerUnavailableError(f"score service returned HTTP {resp.status}")
+            return data
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = self._opened_for = None
+
+
 def remote_score(
     endpoint: str | Endpoint,
     sample,
     prompt: str,
     timeout: float,
     retries: int = 1,
+    *,
+    session: RemoteSession | None = None,
 ) -> float:
     """POST a sample to a score service and return its yes-probability.
 
     Request body: {"sample": [...], "prompt": ..., "question": ...} as
-    JSON; expected response: {"score": x} with x in [0, 1]. Each attempt
-    opens its own connection and closes it, so a retry never reads the
-    late answer of an attempt that timed out. Timeouts, connection
-    failures, non-200 statuses, and malformed bodies raise
-    ScorerUnavailableError after ``retries`` additional attempts; an
-    out-of-range score is a deterministic contract violation and raises
-    ScorerContractError on the first answer, without a retry. Both are
-    surfaced for the optimizer to abort the epoch cleanly.
+    JSON; expected response: {"score": x} with x in [0, 1]. The request
+    goes out on ``session``'s kept-alive connection; without a session it
+    gets a connection of its own, closed before the call returns. Any
+    failed attempt closes its connection, so a retry never reads the late
+    answer of an attempt that timed out. Timeouts, connection failures,
+    non-200 statuses, and malformed bodies raise ScorerUnavailableError
+    after ``retries`` additional attempts; an out-of-range score is a
+    deterministic contract violation and raises ScorerContractError on the
+    first answer, without a retry. Both are surfaced for the optimizer to
+    abort the epoch cleanly. A ``timeout`` that is not a finite number of
+    seconds > 0, or ``retries`` that is not an int >= 0, is a ValueError.
     """
     endpoint = parse_endpoint(endpoint)
+    _check_limits(timeout, retries)
     payload = {
         "sample": np.asarray(sample, dtype=np.float64).tolist(),
         "prompt": prompt,
@@ -415,50 +502,54 @@ def remote_score(
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
     except ValueError as exc:
         raise ScorerUnavailableError(f"sample cannot be sent as JSON: {exc}")
-    headers = {"Content-Type": "application/json", "Connection": "close"}
-    attempts = max(1, retries + 1)
-    last: Exception | None = None
-    for _ in range(attempts):
-        conn = endpoint.connect(timeout)
-        try:
-            conn.request("POST", endpoint.target, body=body, headers=headers)
-            resp = conn.getresponse()
-            data = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
-            last = ScorerUnavailableError(f"score service unreachable: {exc}")
-            continue
-        finally:
-            conn.close()
-        if resp.status != 200:
-            last = ScorerUnavailableError(f"score service returned HTTP {resp.status}")
-            continue
-        try:
-            value = float(json.loads(data)["score"])
-        except (KeyError, TypeError, ValueError) as exc:
-            last = ScorerUnavailableError(f"malformed score response: {exc}")
-            continue
-        if not np.isfinite(value) or value < 0.0 or value > 1.0:
-            raise ScorerContractError(f"remote score {value!r} outside [0, 1]")
-        return value
-    assert last is not None
+    headers = {"Content-Type": "application/json"}
+    own = session is None
+    if own:
+        session = RemoteSession()
+    last: ScorerUnavailableError | None = None
+    try:
+        for _ in range(retries + 1):
+            try:
+                value = float(json.loads(session.post(endpoint, timeout, body, headers))["score"])
+            except ScorerUnavailableError as exc:
+                last = exc
+                continue
+            except (KeyError, TypeError, ValueError) as exc:
+                session.close()
+                last = ScorerUnavailableError(f"malformed score response: {exc}")
+                continue
+            if not np.isfinite(value) or value < 0.0 or value > 1.0:
+                raise ScorerContractError(f"remote score {value!r} outside [0, 1]")
+            return value
+    finally:
+        if own:
+            session.close()
     raise last
 
 
 class RemoteScorer(Scorer):
     """Scorer backed by an HTTP score service; no analytic gradient. The
-    endpoint is parsed once, here."""
+    endpoint is parsed and the limits checked once, here; the scores of a
+    run share one kept-alive connection, opened at the first score and
+    released by ``close``."""
 
     def __init__(
         self, endpoint: str | Endpoint, prompt: str, timeout: float = 1.0, retries: int = 1
     ):
         format_vqa_question(prompt)  # rejects an empty prompt
+        _check_limits(timeout, retries)
         self.endpoint = parse_endpoint(endpoint)
         self.prompt = prompt
         self.timeout = timeout
         self.retries = retries
+        self.session = RemoteSession()
 
     def score(self, sample):
         # looked up at call time, so a rebinding of remote_score applies
         return remote_score(
-            self.endpoint, sample, self.prompt, self.timeout, self.retries
+            self.endpoint, sample, self.prompt, self.timeout, self.retries,
+            session=self.session,
         )
+
+    def close(self):
+        self.session.close()

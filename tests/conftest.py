@@ -4,7 +4,7 @@ import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -12,6 +12,13 @@ import pytest
 
 class MockScoreService:
     """In-process HTTP score service with fault injection.
+
+    ``protocol`` is the HTTP version it answers in: "HTTP/1.0" closes each
+    connection after its reply, "HTTP/1.1" keeps it open for the next
+    request. ``threaded=False`` serves one connection at a time and
+    ``idle_timeout`` (seconds) drops a kept-alive connection left idle
+    that long, as perfbench's stand-in does. Every reply goes out in two
+    sends, the headers and then the body.
 
     ``behavior`` switches the response mode:
       constant     -> {"score": value}
@@ -22,19 +29,30 @@ class MockScoreService:
       malformed    -> non-JSON body
       http-error   -> status 500
     Requests received are recorded (payload dicts) for wire-format checks,
-    and each one's path, headers and raw body in ``raw``.
+    and each one's path, headers and raw body in ``raw``; ``connections``
+    counts the connections accepted.
     """
 
-    def __init__(self):
+    def __init__(self, protocol="HTTP/1.0", threaded=True, idle_timeout=None):
         self.behavior = "constant"
         self.value = 0.7
         self.delay = 0.0
         self.requests = []
         self.raw = []
+        self.connections = 0
+        lock = threading.Lock()
 
         service = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = protocol
+            timeout = idle_timeout
+
+            def setup(self):
+                with lock:
+                    service.connections += 1
+                super().setup()
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = self.rfile.read(length)
@@ -49,6 +67,7 @@ class MockScoreService:
                 try:
                     if service.behavior == "http-error":
                         self.send_response(500)
+                        self.send_header("Content-Length", "0")
                         self.end_headers()
                         return
                     if service.behavior == "malformed":
@@ -71,12 +90,13 @@ class MockScoreService:
                 try:
                     super().handle_one_request()
                 except (BrokenPipeError, ConnectionResetError):
-                    pass
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        server = ThreadingHTTPServer if threaded else HTTPServer
+        self._server = server(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
@@ -91,6 +111,7 @@ class MockScoreService:
         self.delay = delay
         self.requests.clear()
         self.raw.clear()
+        self.connections = 0
 
     def close(self):
         self._server.shutdown()
@@ -100,6 +121,14 @@ class MockScoreService:
 @pytest.fixture(scope="session")
 def score_service():
     service = MockScoreService()
+    yield service
+    service.close()
+
+
+@pytest.fixture(scope="session")
+def keepalive_service():
+    """The mock service answering in HTTP/1.1, so connections stay open."""
+    service = MockScoreService(protocol="HTTP/1.1")
     yield service
     service.close()
 

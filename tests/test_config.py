@@ -207,6 +207,7 @@ class TestBuilders:
             ("scorer.remote.timeout_ms = -250\n", "scorer.remote.timeout_ms"),
             ("scorer.remote.timeout_ms = nan\n", "scorer.remote.timeout_ms"),
             ("scorer.remote.timeout_ms = inf\n", "scorer.remote.timeout_ms"),
+            ("scorer.remote.timeout_ms = 5e-324\n", "scorer.remote.timeout_ms"),
         ],
     )
     def test_remote_limits_validated(self, extra, key):

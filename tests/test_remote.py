@@ -2,13 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import noisediff
+from noisediff.config import ExperimentConfig
 from noisediff.errors import ScorerContractError, ScorerUnavailableError
+from noisediff.experiment import run_experiment
 from noisediff.scoring import RemoteScorer, format_vqa_question, parse_endpoint, remote_score
+
+from conftest import MockScoreService
 
 
 def test_constant_mock_roundtrip(score_service):
@@ -35,7 +40,7 @@ def test_wire_bytes(score_service):
     assert path == "/score"
     assert body == json.dumps(payload).encode("utf-8")
     assert headers["Content-Type"] == "application/json"
-    assert headers["Connection"] == "close"
+    assert "Connection" not in headers  # HTTP/1.1 keeps the connection open
     assert int(headers["Content-Length"]) == len(body)
 
 
@@ -46,11 +51,104 @@ def test_endpoint_with_query_string(score_service):
     assert score_service.raw[-1][0] == "/score?model=vqa&v=1"
 
 
-def test_retry_after_timeout_returns_its_own_answer(score_service):
+@pytest.mark.parametrize("service", ["score_service", "keepalive_service"])
+def test_retry_after_timeout_returns_its_own_answer(request, service):
     # the first attempt times out; its late answer (0.0) must not be read
-    score_service.reset(behavior="slow-first", value=0.35, delay=0.6)
-    assert remote_score(score_service.endpoint, [0.0], "a cat", timeout=0.2, retries=1) == 0.35
-    assert len(score_service.requests) == 2
+    service = request.getfixturevalue(service)
+    service.reset(behavior="slow-first", value=0.35, delay=0.6)
+    scorer = RemoteScorer(service.endpoint, "a cat", timeout=0.2, retries=1)
+    try:
+        assert scorer.score([0.0]) == 0.35
+    finally:
+        scorer.close()
+    assert len(service.requests) == 2
+    assert service.connections == 2
+
+
+@pytest.mark.parametrize("service, connections", [("score_service", 5), ("keepalive_service", 1)])
+def test_connections_per_scorer(request, service, connections):
+    # HTTP/1.0 closes every connection; over HTTP/1.1 one scorer keeps one
+    service = request.getfixturevalue(service)
+    service.reset(behavior="constant", value=0.25)
+    scorer = RemoteScorer(service.endpoint, "a cat", timeout=2.0)
+    try:
+        assert [scorer.score([float(i)]) for i in range(5)] == [0.25] * 5
+        assert service.connections == connections
+        scorer.close()
+        assert scorer.score([0.0]) == 0.25  # a closed scorer opens a new connection
+        assert service.connections == connections + 1
+    finally:
+        scorer.close()
+    assert [p["sample"] for p in service.requests] == [[0.0], [1.0], [2.0], [3.0], [4.0], [0.0]]
+
+
+def test_dropped_idle_connection_is_resent():
+    service = MockScoreService(protocol="HTTP/1.1", idle_timeout=0.1)
+    scorer = RemoteScorer(service.endpoint, "a cat", timeout=2.0, retries=0)
+    try:
+        service.reset(behavior="constant", value=0.6)
+        assert scorer.score([0.0]) == 0.6
+        time.sleep(0.5)  # the service drops the idle connection
+        assert scorer.score([1.0]) == 0.6  # resent on a fresh one, not a retry
+        assert service.connections == 2
+        assert len(service.requests) == 2
+    finally:
+        scorer.close()
+        service.close()
+
+
+def test_timeout_on_kept_connection_is_not_resent(keepalive_service):
+    keepalive_service.reset(behavior="constant", value=0.6)
+    scorer = RemoteScorer(keepalive_service.endpoint, "a cat", timeout=0.2, retries=0)
+    try:
+        assert scorer.score([0.0]) == 0.6
+        keepalive_service.behavior, keepalive_service.delay = "slow", 0.6
+        with pytest.raises(ScorerUnavailableError):
+            scorer.score([0.0])
+    finally:
+        scorer.close()
+    assert len(keepalive_service.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "timeout, retries",
+    [(float("nan"), 1), (-1.0, 1), (float("inf"), 1), (0, 1), (True, 1), ("1", 1),
+     (1.0, -3), (1.0, 1.5), (1.0, True)],
+)
+def test_bad_limits_rejected(timeout, retries):
+    with pytest.raises(ValueError):
+        RemoteScorer("http://127.0.0.1:9/score", "a cat", timeout=timeout, retries=retries)
+    with pytest.raises(ValueError):
+        remote_score("http://127.0.0.1:9/score", [0.0], "a cat", timeout, retries)
+
+
+def test_runs_do_not_stall_each_other(tmp_path):
+    """Against a service like perfbench's stand-in, a run's connection is
+    closed when it ends, and a kept-alive reply is not held back ~40 ms by
+    a delayed ACK; either fault takes this past the idle timeout."""
+    service = MockScoreService(protocol="HTTP/1.1", threaded=False, idle_timeout=2.0)
+    try:
+        service.reset(behavior="constant", value=0.5)
+        configs = [ExperimentConfig.from_text(
+            "method = random-sampling\ndim = 8\nepochs = 10\nseeds = 0,1\ntimesteps = 5\n"
+            f"output = {tmp_path / f'run{k}'}\nscorer.type = remote\n"
+            f"scorer.remote.endpoint = {service.endpoint}\n"
+        ) for k in range(2)]
+        assert service.connections == 0  # building a config opens none
+        start = time.perf_counter()
+        for cfg in configs:
+            assert run_experiment(cfg).exit_code == 0
+        scorer = RemoteScorer(service.endpoint, "a cat", timeout=2.0)
+        try:
+            for i in range(20):
+                assert scorer.score([float(i)]) == 0.5
+        finally:
+            scorer.close()
+        elapsed = time.perf_counter() - start
+        assert len(service.requests) > 60
+        assert elapsed < 1.5, f"{len(service.requests)} requests took {elapsed:.2f} s"
+    finally:
+        service.close()
 
 
 @pytest.mark.parametrize(
