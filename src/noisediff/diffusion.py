@@ -9,7 +9,7 @@ of shape (n, d) moves through the pipeline as one array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,6 +97,21 @@ class DenoiserModel:
         unimplemented."""
         raise NotImplementedError
 
+    def guided_eps(self, t: int, guidance: GuidanceConfig) -> Callable[[np.ndarray], np.ndarray]:
+        """The guided prediction at step t as a function of a checked
+        float64 latent: the step ``Pipeline``'s plan takes. The default
+        runs ``cfg_predict`` and checks the shape of its result, as
+        ``ddim_step`` does; a model may return a faster function with
+        the same bits."""
+
+        def eps(z):
+            out = np.asarray(cfg_predict(self, z, t, guidance), dtype=np.float64)
+            if out.shape != z.shape:
+                raise DimensionError(f"shape mismatch: {z.shape} vs {out.shape}")
+            return out
+
+        return eps
+
 
 class ConstantDenoiser(DenoiserModel):
     """Predicts the same vector regardless of input; the regime in which
@@ -142,6 +157,22 @@ class _MixtureTable(NamedTuple):
     variances: np.ndarray  # (K,): ab_t s_k^2 + 1 - ab_t
     log_norm: np.ndarray  # (K,): log w_k - d/2 log(2 pi V_k), w renormalized
     eps_scale: float  # -sqrt(1 - ab_t), maps the log-density gradient to eps
+
+
+def _component_terms(z, table: _MixtureTable):
+    """Each component's unnormalized log posterior at z, shape (..., K),
+    and its score -(z - m_k) / V_k, shape (..., K, d)."""
+    diff = z[..., None, :] - table.means
+    dist2 = np.add.reduce(diff * diff, axis=-1)
+    return table.log_norm - 0.5 * dist2 / table.variances, -diff / table.variances[:, None]
+
+
+def _softmax(log_post):
+    """Responsibilities from log posteriors over the last axis; the max
+    shift keeps exp finite far from every mode. ``np.add.reduce`` has
+    the bits of ``np.sum`` (not so ``np.add.reduceat``)."""
+    e = np.exp(log_post - np.maximum.reduce(log_post, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 class AnalyticMixtureDenoiser(DenoiserModel):
@@ -200,45 +231,74 @@ class AnalyticMixtureDenoiser(DenoiserModel):
             eps_scale=-np.sqrt(1.0 - ab),
         )
 
-    def _responsibilities(self, z, t: int, condition):
-        """Posterior component weights of z at step t, z's offsets from
-        the noised means, and the table they came from."""
+    def _table_at(self, t: int, condition) -> _MixtureTable:
         table = self._tables.get((t, condition))
         if table is None:
             if not 1 <= t <= self._schedule.T:
                 raise ScheduleError(f"noise prediction at t={t}, outside [1, {self._schedule.T}]")
             raise UnknownConditionError(f"unknown condition {condition!r}")
-        diff = z[..., None, :] - table.means  # (..., K, d)
-        dist2 = np.sum(diff * diff, axis=-1)  # (..., K)
-        log_post = table.log_norm - 0.5 * dist2 / table.variances
-        # softmax over components: the max shift keeps exp finite far
-        # from every mode
-        e = np.exp(log_post - np.max(log_post, axis=-1, keepdims=True))
-        return e / np.sum(e, axis=-1, keepdims=True), diff, table
+        return table
+
+    def _responsibilities(self, z, t: int, condition):
+        """Posterior component weights of z at step t, the components'
+        scores at z, and the table they came from."""
+        table = self._table_at(t, condition)
+        log_post, scores = _component_terms(z, table)
+        return _softmax(log_post), scores, table
 
     def predict(self, z, t: int, condition=None) -> np.ndarray:
         """Exact eps via log-sum-exp responsibilities."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape[-1] != self.dim:
             raise DimensionError(f"latent dim {z.shape[-1]} != model dim {self.dim}")
-        resp, diff, table = self._responsibilities(z, t, condition)
-        score = np.einsum("...k,...kd->...d", resp, -diff / table.variances[:, None])
-        return table.eps_scale * score
+        resp, scores, table = self._responsibilities(z, t, condition)
+        return table.eps_scale * np.einsum("...k,...kd->...d", resp, scores)
 
     def predict_jacobian(self, z, t: int, condition=None) -> np.ndarray:
         """Closed-form d eps / d z for a single latent z of shape (d,)."""
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 1:
             raise DimensionError("jacobian is defined for a single latent")
-        resp, diff, table = self._responsibilities(z, t, condition)
-        variances = table.variances
-        comp_scores = -diff / variances[:, None]  # (K, d)
+        resp, comp_scores, table = self._responsibilities(z, t, condition)
         mean_score = resp @ comp_scores
         # Hessian of log p_t: sum_k r_k (-I/V_k + g_k g_k^T) - g_bar g_bar^T
-        hess = -np.sum(resp / variances) * np.eye(self.dim)
+        hess = -np.sum(resp / table.variances) * np.eye(self.dim)
         hess += np.einsum("k,ki,kj->ij", resp, comp_scores, comp_scores)
         hess -= np.outer(mean_score, mean_score)
         return table.eps_scale * hess
+
+    def guided_eps(self, t: int, guidance: GuidanceConfig) -> Callable[[np.ndarray], np.ndarray]:
+        """``cfg_predict`` fused, bit for bit: the condition's and the null
+        condition's components are stacked into one table, so the
+        offsets and log posteriors take one pass, and each condition's
+        slice then takes its own softmax and einsum. An unknown
+        condition raises here, not at the first call."""
+        cond = self._table_at(t, guidance.condition)
+        if guidance.null_condition == guidance.condition:
+            stacked, parts = cond, (slice(None),)
+        else:
+            null = self._table_at(t, guidance.null_condition)
+            stacked = _MixtureTable(
+                *(np.concatenate(pair) for pair in zip(cond[:3], null[:3])), cond.eps_scale
+            )
+            k = cond.variances.size
+            parts = (slice(None, k), slice(k, None))
+        w, w_null = guidance.w, 1.0 - guidance.w
+
+        def eps(z):
+            log_post, scores = _component_terms(z, stacked)
+            eps_each = [
+                stacked.eps_scale
+                * np.einsum("...k,...kd->...d", _softmax(log_post[..., s]), scores[..., s, :])
+                for s in parts
+            ]
+            # freed before the sums below allocate: at large batches and d
+            # that spares the allocator fresh pages (measured at d = 1024)
+            del scores
+            # with one part the condition is the null condition
+            return w * eps_each[0] + w_null * eps_each[-1]
+
+        return eps
 
 
 @dataclass(frozen=True)
@@ -273,10 +333,16 @@ def ddim_step(z_t, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if z_t.shape != eps.shape:
         raise DimensionError(f"shape mismatch: {z_t.shape} vs {eps.shape}")
+    scale, noise_t, noise_prev = _ddim_coefficients(t, sched)
+    return scale * (z_t - noise_t * eps) + noise_prev * eps
+
+
+def _ddim_coefficients(t: int, sched: NoiseSchedule):
+    """sqrt(ab_{t-1} / ab_t), sqrt(1 - ab_t) and sqrt(1 - ab_{t-1}): the
+    constants of the reverse step at t."""
     ab_t = sched.alpha_bar(t)
     ab_prev = sched.alpha_bar(t - 1)
-    scale = np.sqrt(ab_prev / ab_t)
-    return scale * (z_t - np.sqrt(1.0 - ab_t) * eps) + np.sqrt(1.0 - ab_prev) * eps
+    return np.sqrt(ab_prev / ab_t), np.sqrt(1.0 - ab_t), np.sqrt(1.0 - ab_prev)
 
 
 class Decoder:
@@ -329,32 +395,60 @@ class Pipeline:
     """Immutable bundle of everything the sampler needs: model, guidance,
     schedule, and decoder. ``forward`` is pure, so repeated calls with the
     same latent are bit-identical. A model that carries a ``schedule``
-    (its noise levels) must carry one equal to the pipeline's."""
+    (its noise levels) must carry one equal to the pipeline's.
+
+    Construction builds the step plan: for t = T..1, the model's
+    ``guided_eps`` and the DDIM constants of ``ddim_step``. A guidance
+    condition the model does not know, or a linear decoder whose weight
+    does not take the model's dim, raises here."""
 
     model: DenoiserModel
     guidance: GuidanceConfig
     schedule: NoiseSchedule
     decoder: Decoder = field(default_factory=IdentityDecoder)
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if getattr(self.model, "schedule", self.schedule) != self.schedule:
             raise ScheduleError("the model was built for another schedule than the pipeline's")
+        if isinstance(self.decoder, LinearDecoder):
+            columns = self.decoder.weight.shape[1]
+            if columns != self.dim:
+                raise DimensionError(f"decoder weight has {columns} columns, model dim is {self.dim}")
+        # a model need not subclass DenoiserModel: one without the hook
+        # gets its default
+        guided_eps = getattr(type(self.model), "guided_eps", DenoiserModel.guided_eps)
+        plan = tuple(
+            (guided_eps(self.model, t, self.guidance), *_ddim_coefficients(t, self.schedule))
+            for t in range(self.schedule.T, 0, -1)
+        )
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def dim(self) -> int:
         return self.model.dim
 
     def denoise(self, z_T) -> np.ndarray:
+        """z_T carried to z_0 by the step plan; the input is checked once."""
         z = np.asarray(z_T, dtype=np.float64)
-        for t in range(self.schedule.T, 0, -1):
-            eps = cfg_predict(self.model, z, t, self.guidance)
-            z = ddim_step(z, t, eps, self.schedule)
+        if z.ndim == 0:
+            raise DimensionError(f"z_T must be a latent of model dim {self.dim}, got a scalar")
+        if z.shape[-1] != self.dim:
+            raise DimensionError(f"latent dim {z.shape[-1]} != model dim {self.dim}")
+        _require_finite(z, "z_T")
+        for eps_at, scale, noise_t, noise_prev in self._plan:
+            eps = eps_at(z)
+            z = scale * (z - noise_t * eps) + noise_prev * eps
         return z
 
     def forward(self, z_T) -> tuple[np.ndarray, np.ndarray]:
         z0 = self.denoise(z_T)
-        if not np.isfinite(z0).all():
-            bad = int(np.count_nonzero(~np.isfinite(z0)))
-            raise NonFiniteError(f"denoised latent has {bad} non-finite of {z0.size} entries")
+        _require_finite(z0, "denoised latent")
         return z0, self.decoder.decode(z0)
+
+
+def _require_finite(array: np.ndarray, name: str) -> None:
+    if not np.isfinite(array).all():
+        bad = int(np.count_nonzero(~np.isfinite(array)))
+        raise NonFiniteError(f"{name} has {bad} non-finite of {array.size} entries")
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,6 +449,7 @@ class _CountingModel:
 
     def __init__(self, model):
         self.model = model
+        self.dim = model.dim
         self.predicts = 0
 
     def predict(self, z, t, condition=None):
@@ -539,3 +545,158 @@ class TestBatchedForwardRows:
             z0, sample = pipeline.forward(latents[k].copy())
             np.testing.assert_array_equal(z0s[k], z0)
             np.testing.assert_array_equal(samples[k], sample)
+
+
+def _reference_denoise(pipeline, z_T):
+    """The DDIM loop built from the public pieces, one ``cfg_predict`` and
+    one ``ddim_step`` per step: the reference the step plan must match
+    bit for bit."""
+    z = np.asarray(z_T, dtype=np.float64)
+    for t in range(pipeline.schedule.T, 0, -1):
+        z = ddim_step(z, t, cfg_predict(pipeline.model, z, t, pipeline.guidance),
+                      pipeline.schedule)
+    return z
+
+
+class TestStepPlan:
+    """``Pipeline.denoise`` runs the plan built at construction; its bits
+    are those of the reference loop. Each condition's slice of the
+    stacked components is reduced on its own, since a segmented
+    ``np.add.reduceat`` sums in another order than ``np.sum``."""
+
+    @staticmethod
+    def _pipeline(seed, timesteps, relation, sizes, w, constant, dim):
+        gen = RngStream(seed, "step-plan").generator()
+        sched = build_schedule(timesteps)
+        if constant:
+            model = ConstantDenoiser(gen.standard_normal(dim))
+            return Pipeline(model, GuidanceConfig(w), sched), gen
+        k_cond, k_null = sizes
+        if relation == "subset":  # the condition's components among the null's
+            total = max(k_cond, k_null) + 1
+            null = gen.permutation(total)[:max(k_cond + 1, k_null)]
+            cond = null[:k_cond]
+        else:
+            total = k_cond + k_null
+            cond, null = np.split(gen.permutation(total), [k_cond])
+        comps = [
+            MixtureComponent(float(gen.uniform(0.05, 1.0)),
+                             gen.standard_normal(dim) * gen.uniform(0.1, 4.0),
+                             float(gen.uniform(0.1, 3.0)))
+            for _ in range(total)
+        ]
+        model = AnalyticMixtureDenoiser(comps, sched, {"c": cond.tolist(), "n": null.tolist()})
+        guidance = {
+            "same": GuidanceConfig(w, "c", "c"),
+            "subset": GuidanceConfig(w, "c", "n" if gen.uniform() < 0.5 else None),
+            "disjoint": GuidanceConfig(w, "c", "n"),
+            "none": GuidanceConfig(w),
+        }[relation]
+        return Pipeline(model, guidance, sched), gen
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=_BATCH_SEEDS,
+        timesteps=st.integers(min_value=1, max_value=60),
+        relation=st.sampled_from(["same", "subset", "disjoint", "none"]),
+        sizes=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        w=st.one_of(st.sampled_from([0.0, 1.0, 7.5]), st.floats(-20.0, -1e-3)),
+        constant=st.booleans(),
+        dim=st.integers(min_value=1, max_value=24),
+        shape=st.sampled_from([(), (1,), (5,), (2, 3)]),
+        spread=st.sampled_from([1.0, 4.0, 50.0]),
+    )
+    def test_matches_reference_loop(self, seed, timesteps, relation, sizes, w, constant, dim,
+                                    shape, spread):
+        pipeline, gen = self._pipeline(seed, timesteps, relation, sizes, w, constant, dim)
+        z_T = gen.standard_normal((*shape, dim)) * spread
+        got = pipeline.denoise(z_T)
+        assert got.shape == z_T.shape
+        assert got.tobytes() == _reference_denoise(pipeline, z_T).tobytes()
+
+    def test_bits_do_not_depend_on_the_simd_level(self, tmp_path):
+        """The equality above, rerun with numpy's AVX-512 dispatch off:
+        the plan's reductions see the same array lengths and layouts as
+        the reference's at every dispatch level."""
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_features__
+        if not __cpu_features__.get("X86_V4"):
+            pytest.skip("the host has no X86_V4 dispatch to turn off")
+        tests = Path(__file__).resolve().parent
+        code = (
+            "try:\n"
+            "    from numpy._core._multiarray_umath import __cpu_features__\n"
+            "except ImportError:\n"
+            "    from numpy.core._multiarray_umath import __cpu_features__\n"
+            "assert not __cpu_features__['X86_V4'], 'X86_V4 still dispatched'\n"
+            "from test_diffusion import TestStepPlan\n"
+            "TestStepPlan().test_matches_reference_loop()\n"
+            "print('equal')\n"
+        )
+        env = {
+            **os.environ,
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+        }
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-3000:]
+        assert done.stdout.splitlines()[-1] == "equal"
+
+
+class TestPipelineChecks:
+    """What a Pipeline rejects, and when: its parts when it is built, and
+    a latent once per forward, before the first step."""
+
+    def test_unknown_conditions_raise_at_construction(self):
+        pipe, sched = _mixture_pipeline()
+        for guidance in (GuidanceConfig(w=2.0, condition="nope"),
+                         GuidanceConfig(w=2.0, condition="c", null_condition="nope")):
+            with pytest.raises(UnknownConditionError, match="unknown condition 'nope'"):
+                Pipeline(pipe.model, guidance, sched)
+
+    def test_decoder_for_another_dim_raises_at_construction(self):
+        pipe, sched = _mixture_pipeline()
+        with pytest.raises(DimensionError, match="decoder weight has 5 columns, model dim is 6"):
+            Pipeline(pipe.model, pipe.guidance, sched, LinearDecoder(np.ones((3, 5))))
+        built = Pipeline(pipe.model, pipe.guidance, sched, LinearDecoder(np.ones((3, 6))))
+        assert built.forward(np.zeros(6))[1].shape == (3,)
+
+    def test_scalar_latent_is_a_dimension_error(self):
+        pipe, _ = _mixture_pipeline()
+        with pytest.raises(DimensionError, match="got a scalar"):
+            pipe.forward(1.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 7)])
+    def test_wrong_last_dim(self, shape):
+        pipe, _ = _mixture_pipeline()
+        width = shape[-1]
+        with pytest.raises(DimensionError, match=f"^latent dim {width} != model dim 6$"):
+            pipe.forward(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_named(self, bad):
+        pipe, _ = _mixture_pipeline()
+        z = np.zeros((2, 6))
+        z[1, 4] = bad
+        with pytest.raises(NonFiniteError, match="^z_T has 1 non-finite of 12 entries$"):
+            pipe.denoise(z)
+
+    def test_non_finite_output_of_finite_input_is_caught(self):
+        # a finite z_T can still overflow on the way to z_0
+        pipe = Pipeline(ConstantDenoiser(np.full(2, 1e308)), GuidanceConfig(w=7.5),
+                        build_schedule(10))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="denoised latent has"):
+            pipe.forward(np.zeros(2))
+
+    def test_model_prediction_of_another_shape_raises(self):
+        class FlatDenoiser(ConstantDenoiser):
+            def predict(self, z, t, condition=None):
+                return self.value  # one row, whatever the batch
+
+        pipe = Pipeline(FlatDenoiser(np.zeros(3)), GuidanceConfig(w=7.5), build_schedule(5))
+        with pytest.raises(DimensionError, match=r"shape mismatch: \(2, 3\) vs \(3,\)"):
+            pipe.forward(np.zeros((2, 3)))
