@@ -397,8 +397,9 @@ class Pipeline:
     same latent are bit-identical. A model that carries a ``schedule``
     (its noise levels) must carry one equal to the pipeline's.
 
-    Construction builds the step plan: for t = T..1, the model's
-    ``guided_eps`` and the DDIM constants of ``ddim_step``. A guidance
+    Construction builds the step plan, the read-only ``plan``: for
+    t = T..1, a tuple of the model's ``guided_eps`` and the DDIM constants
+    ``(scale, noise_t, noise_prev)`` of ``ddim_step``. A guidance
     condition the model does not know, or a linear decoder whose weight
     does not take the model's dim, raises here."""
 
@@ -406,7 +407,7 @@ class Pipeline:
     guidance: GuidanceConfig
     schedule: NoiseSchedule
     decoder: Decoder = field(default_factory=IdentityDecoder)
-    _plan: tuple = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if getattr(self.model, "schedule", self.schedule) != self.schedule:
@@ -422,7 +423,7 @@ class Pipeline:
             (guided_eps(self.model, t, self.guidance), *_ddim_coefficients(t, self.schedule))
             for t in range(self.schedule.T, 0, -1)
         )
-        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "plan", plan)
 
     @property
     def dim(self) -> int:
@@ -436,7 +437,7 @@ class Pipeline:
         if z.shape[-1] != self.dim:
             raise DimensionError(f"latent dim {z.shape[-1]} != model dim {self.dim}")
         _require_finite(z, "z_T")
-        for eps_at, scale, noise_t, noise_prev in self._plan:
+        for eps_at, scale, noise_t, noise_prev in self.plan:
             eps = eps_at(z)
             z = scale * (z - noise_t * eps) + noise_prev * eps
         return z

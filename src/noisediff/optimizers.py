@@ -267,7 +267,7 @@ class _Seed:
     score: float = float("nan")
     forward: tuple | None = None
     moved: np.ndarray | None = None  # this epoch's new latent, None if skipped
-    fields: tuple = (None, None, None, None)
+    fields: dict = field(default_factory=dict)  # this epoch's EpochRow fields
     wall_ms: float = 0.0
 
     def guarded(self, fn, *args):
@@ -281,31 +281,32 @@ class _Seed:
             return None
 
 
-def _gradient(z, pipeline, scorer, cfg: _MethodSettings, rng: RngStream, epoch, forward):
+def _gradient(z, pipeline, scorer, cfg: _MethodSettings, coords_rng: RngStream, epoch, forward):
     """``latent_gradient`` in ``cfg``'s mode, and its norm. With a probe
-    budget below the dimension, finite differences probe a seeded
-    coordinate subset drawn afresh each epoch."""
+    budget below the dimension, finite differences probe a coordinate
+    subset drawn from ``coords_rng`` afresh each epoch."""
     coords = None
-    if (
-        cfg.gradient_mode is GradientMode.FINITE_DIFFERENCE
-        and cfg.fd_budget is not None
-        and cfg.fd_budget < z.size
-    ):
-        gen = rng.fork("fd-coords").generator(epoch)
+    if (cfg.gradient_mode is GradientMode.FINITE_DIFFERENCE
+            and cfg.fd_budget is not None and cfg.fd_budget < z.size):
+        gen = coords_rng.generator(epoch)
         coords = np.sort(gen.choice(z.size, size=cfg.fd_budget, replace=False))
-    grad = latent_gradient(
-        z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step, coords=coords,
-        forward=forward,
-    )
+    grad = latent_gradient(z, pipeline, scorer, cfg.gradient_mode, h=cfg.fd_step,
+                           coords=coords, forward=forward)
     return grad, float(np.linalg.norm(grad))
 
 
-def _noise_diffusion_step(z_T, pipeline, scorer, cfg: NoiseDiffusionConfig, rng: RngStream):
-    """One seed's noise-diffusion step (the start latent is not needed)."""
+def _make_step(z_init, pipeline, scorer, cfg: NoiseDiffusionConfig | BaselineConfig,
+               rng: RngStream):
+    """One seed's step of ``cfg.method``, from its checked start latent
+    ``z_init``. A step maps ``(epoch, z, score, forward)`` to the next
+    latent (None for a skipped epoch) and a dict of the EpochRow fields
+    the epoch fills. pgd and mean-variance work relative to ``z_init``,
+    and mean-variance keeps its Adam state in the closure."""
+    coords_rng = rng.fork("fd-coords")
 
-    def step(epoch, z, score, forward):
+    def noise_diffusion(epoch, z, score, forward):
         gamma = step_size_gamma(score)
-        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, rng, epoch, forward)
+        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, coords_rng, epoch, forward)
         for attempt in range(2):
             first = attempt * cfg.candidates
             candidates = rng.normal_block(
@@ -315,35 +316,27 @@ def _noise_diffusion_step(z_T, pipeline, scorer, cfg: NoiseDiffusionConfig, rng:
                 index, ratio = select_noise(grad, z, gamma, candidates, cfg.v_norm_guard)
             except DegenerateStepError:
                 continue
+            fields = dict(gamma=gamma, selected_ratio=ratio, grad_norm=grad_norm)
             if cfg.strict_improvement and ratio < 0.0:
-                return None, gamma, ratio, grad_norm, None
+                return None, fields
             sigma = candidates[index]
-            v = step_difference(z, gamma, sigma)
-            return apply_update(z, gamma, sigma), gamma, ratio, grad_norm, float(np.linalg.norm(v))
+            v_norm = float(np.linalg.norm(step_difference(z, gamma, sigma)))
+            return apply_update(z, gamma, sigma), dict(fields, v_norm=v_norm)
         # both candidate batches degenerate: skip the epoch
-        return None, gamma, None, grad_norm, None
-
-    return step
-
-
-def _baseline_step(z_T, pipeline, scorer, cfg: BaselineConfig, rng: RngStream):
-    """One seed's step of ``cfg.method``; pgd and mean-variance work
-    relative to the start latent, and mean-variance keeps its Adam state
-    in the closure."""
-    z_init = as_latent(z_T, dim=pipeline.dim)
+        return None, dict(gamma=gamma, grad_norm=grad_norm)
 
     def pgd(epoch, z, score, forward):
-        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, rng, epoch, forward)
+        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, coords_rng, epoch, forward)
         z_new = z + cfg.pgd_step * np.sign(grad)
         z_new = np.clip(z_new, z_init - cfg.pgd_radius, z_init + cfg.pgd_radius)
-        return z_new, None, None, grad_norm, float(np.linalg.norm(z_new - z))
+        return z_new, dict(grad_norm=grad_norm, v_norm=float(np.linalg.norm(z_new - z)))
 
     mu, rho = np.zeros_like(z_init), np.zeros_like(z_init)
     m, v = np.zeros(2 * z_init.size), np.zeros(2 * z_init.size)  # Adam moments
 
     def mean_variance(epoch, z, score, forward):
         nonlocal mu, rho, m, v
-        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, rng, epoch, forward)
+        grad, grad_norm = _gradient(z, pipeline, scorer, cfg, coords_rng, epoch, forward)
         g = np.concatenate([grad, grad * np.exp(rho) * z_init])
         m = cfg.mv_beta1 * m + (1.0 - cfg.mv_beta1) * g
         v = cfg.mv_beta2 * v + (1.0 - cfg.mv_beta2) * g * g
@@ -352,18 +345,19 @@ def _baseline_step(z_T, pipeline, scorer, cfg: BaselineConfig, rng: RngStream):
         update = cfg.mv_learning_rate * m_hat / (np.sqrt(v_hat) + cfg.mv_epsilon)
         mu, rho = mu + update[: z.size], rho + update[z.size :]
         z_new = mu + np.exp(rho) * z_init
-        return z_new, None, None, grad_norm, float(np.linalg.norm(z_new - z))
+        return z_new, dict(grad_norm=grad_norm, v_norm=float(np.linalg.norm(z_new - z)))
 
     def random_sampling(epoch, z, score, forward):
-        return rng.normal(z.size, epoch), None, None, None, None
+        return rng.normal(z.size, epoch), {}
 
     def random_diffusion(epoch, z, score, forward):
         gamma = step_size_gamma(score)
         sigma = rng.normal(z.size, epoch)
-        v = step_difference(z, gamma, sigma)
-        return apply_update(z, gamma, sigma), gamma, None, None, float(np.linalg.norm(v))
+        v_norm = float(np.linalg.norm(step_difference(z, gamma, sigma)))
+        return apply_update(z, gamma, sigma), dict(gamma=gamma, v_norm=v_norm)
 
     steps = {
+        "noise-diffusion": noise_diffusion,
         "pgd": pgd,
         "mean-variance": mean_variance,
         "random-sampling": random_sampling,
@@ -387,10 +381,10 @@ def run_lockstep(
     one ``run_noise_diffusion`` or ``run_baseline`` returns for start k
     alone. Epoch 0 scores each start latent. Each later epoch calls every
     live seed's ``step(epoch, z, score, (z0, sample))``, which returns the
-    next latent (None for a skipped epoch) and the epoch's gamma, selected
-    ratio, gradient norm and step norm. The latents that moved go through
-    one batched ``pipeline.forward``, whose rows have the bits of single
-    forwards, and each is scored on its own; a skipped epoch keeps the
+    next latent (None for a skipped epoch) and the EpochRow fields the
+    epoch fills, by name. The latents that moved go through one batched
+    ``pipeline.forward``, whose rows have the bits of single forwards,
+    and each is scored on its own; a skipped epoch keeps the
     seed's current ``(z0, sample)`` pair. Steps, scores, best-tracking and
     random streams stay per seed. A seed's ``wall_ms`` for an epoch is its
     own step and score time plus its share of the batched forward (the
@@ -398,12 +392,11 @@ def run_lockstep(
     its loop time. A scorer outage or contract violation ends only the
     seed it came from.
     """
-    make_step = _noise_diffusion_step if cfg.method == "noise-diffusion" else _baseline_step
     seeds = []
     for z_T, rng in starts:
         z = as_latent(z_T, dim=pipeline.dim).copy()
         rec = TrajectoryRecord(method=cfg.method, latents=[] if cfg.record_latents else None)
-        step = make_step(z_T, pipeline, scorer, cfg, rng)
+        step = _make_step(z, pipeline, scorer, cfg, rng)
         seeds.append(_Seed(step, z, rec, moved=z))  # epoch 0 scores the start latent
     live = seeds
     for epoch in range(cfg.epochs + 1):
@@ -413,7 +406,7 @@ def run_lockstep(
                 out = s.guarded(s.step, epoch, s.z, s.score, s.forward)
                 s.wall_ms = (time.perf_counter() - t0) * 1e3
                 if out is not None:
-                    s.moved, *s.fields = out
+                    s.moved, s.fields = out
         moved = [s for s in live if not s.rec.incomplete and s.moved is not None]
         if moved:
             t0 = time.perf_counter()
@@ -434,7 +427,7 @@ def run_lockstep(
             rec.final_latent = s.z.copy()
             if cfg.record_latents:
                 rec.latents.append(s.z.copy())
-            rec.rows.append(EpochRow(epoch, s.score, rec.best_score, *s.fields,
+            rec.rows.append(EpochRow(epoch, s.score, rec.best_score, **s.fields,
                                      wall_ms=s.wall_ms))
     return [s.rec if s.rec.incomplete else s.rec.validate() for s in seeds]
 

@@ -25,6 +25,7 @@ import http.client
 import json
 import math
 import numbers
+import reprlib
 import socket
 from dataclasses import dataclass
 from urllib.parse import quote, urlsplit
@@ -32,7 +33,7 @@ from urllib.parse import quote, urlsplit
 import numpy as np
 from scipy.special import expit
 
-from .diffusion import Pipeline, cfg_predict, ddim_step
+from .diffusion import Pipeline
 from .errors import (
     DimensionError,
     GradientUnavailableError,
@@ -290,35 +291,34 @@ def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
     """Exact gradient via forward accumulation of the DDIM Jacobian.
 
     Needs the denoiser's closed-form Jacobian and the scorer's analytic
-    gradient; cost is one pass plus T dense (d, d) matrix products. When
-    the condition and the null condition are the same, each step evaluates
-    one Jacobian, as ``cfg_predict`` evaluates one prediction. A
-    Jacobian that turns non-finite raises NonFiniteError at that step.
+    gradient; cost is one pass plus T dense (d, d) matrix products. The
+    pass walks the pipeline's step plan, as ``denoise`` does. When the
+    condition and the null condition are the same, each step evaluates
+    one Jacobian, as ``cfg_predict`` evaluates one prediction. A Jacobian
+    that turns non-finite raises NonFiniteError at that step.
     """
     z = np.asarray(z_T, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionError("chain gradient is defined for a single latent")
-    sched, g = pipeline.schedule, pipeline.guidance
+    if z.shape != (pipeline.dim,):
+        raise DimensionError(
+            f"chain gradient takes one latent of dim {pipeline.dim}, got shape {z.shape}")
+    g, steps = pipeline.guidance, zip(range(pipeline.schedule.T, 0, -1), pipeline.plan)
     jac = np.eye(z.size)
     try:
-        for t in range(sched.T, 0, -1):
-            eps = cfg_predict(pipeline.model, z, t, g)
+        for t, (eps_at, scale, noise_t, noise_prev) in steps:
+            eps = eps_at(z)
             j_cond = pipeline.model.predict_jacobian(z, t, g.condition)
             if g.null_condition == g.condition:
                 j_null = j_cond
             else:
                 j_null = pipeline.model.predict_jacobian(z, t, g.null_condition)
             j_eps = g.w * j_cond + (1.0 - g.w) * j_null
-            ab_t, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
-            scale = np.sqrt(ab_prev / ab_t)
-            c_t = np.sqrt(1.0 - ab_prev) - scale * np.sqrt(1.0 - ab_t)
-            jac = (scale * np.eye(z.size) + c_t * j_eps) @ jac
+            jac = (scale * np.eye(z.size) + (noise_prev - scale * noise_t) * j_eps) @ jac
             if not np.isfinite(jac).all():
                 bad = int(np.count_nonzero(~np.isfinite(jac)))
                 raise NonFiniteError(
                     f"chain Jacobian has {bad} non-finite of {jac.size} entries at step t={t}"
                 )
-            z = ddim_step(z, t, eps, sched)
+            z = scale * (z - noise_t * eps) + noise_prev * eps
     except NotImplementedError as exc:
         raise GradientUnavailableError(
             "denoiser has no closed-form Jacobian; use finite differences"
@@ -479,13 +479,15 @@ def remote_score(
     """POST a sample to a score service and return its yes-probability.
 
     Request body: {"sample": [...], "prompt": ..., "question": ...} as
-    JSON; expected response: {"score": x} with x in [0, 1]. The request
-    goes out on ``session``'s kept-alive connection; without a session it
-    gets a connection of its own, closed before the call returns. Any
-    failed attempt closes its connection, so a retry never reads the late
-    answer of an attempt that timed out. Timeouts, connection failures,
-    non-200 statuses, and malformed bodies raise ScorerUnavailableError
-    after ``retries`` additional attempts; an out-of-range score is a
+    JSON; expected response: {"score": x} with x a JSON number in [0, 1].
+    The request goes out on ``session``'s kept-alive connection; without a
+    session it gets a connection of its own, closed before the call
+    returns. Any failed attempt closes its connection, so a retry never
+    reads the late answer of an attempt that timed out. Timeouts,
+    connection failures, non-200 statuses and malformed bodies (a score
+    of true, false or any other non-number too) raise
+    ScorerUnavailableError after ``retries`` additional attempts; an
+    out-of-range score, an integer too large for a float included, is a
     deterministic contract violation and raises ScorerContractError on the
     first answer, without a retry. Both are surfaced for the optimizer to
     abort the epoch cleanly. A ``timeout`` that is not a finite number of
@@ -510,7 +512,9 @@ def remote_score(
     try:
         for _ in range(retries + 1):
             try:
-                value = float(json.loads(session.post(endpoint, timeout, body, headers))["score"])
+                value = json.loads(session.post(endpoint, timeout, body, headers))["score"]
+                if type(value) not in (int, float):  # not isinstance: a JSON true is an int
+                    raise TypeError(f"score {reprlib.repr(value)} is not a number")
             except ScorerUnavailableError as exc:
                 last = exc
                 continue
@@ -518,9 +522,10 @@ def remote_score(
                 session.close()
                 last = ScorerUnavailableError(f"malformed score response: {exc}")
                 continue
-            if not np.isfinite(value) or value < 0.0 or value > 1.0:
-                raise ScorerContractError(f"remote score {value!r} outside [0, 1]")
-            return value
+            # exact for an int of any size, and false for NaN
+            if not 0.0 <= value <= 1.0:
+                raise ScorerContractError(f"remote score {reprlib.repr(value)} outside [0, 1]")
+            return float(value)
     finally:
         if own:
             session.close()

@@ -423,6 +423,62 @@ class TestSharedLoop:
         np.testing.assert_array_equal(rec.final_latent, rec.latents[-1])
 
 
+class UphillScorer(Scorer):
+    """Scores 0.5 everywhere, with gradient +1 in every coordinate."""
+
+    def score(self, sample):
+        return 0.5
+
+    def gradient(self, sample):
+        return np.ones(np.asarray(sample).shape)
+
+
+def _row_schema_run(case):
+    """A 3-epoch run in which every epoch after the first takes ``case``'s
+    path through its step."""
+    if case == "strict-negative skip":
+        # far out along the gradient, every step difference points back
+        cfg = NoiseDiffusionConfig(epochs=3, candidates=8, strict_improvement=True)
+        return run_noise_diffusion(np.full(4, 100.0), identity_pipeline(4), UphillScorer(), cfg,
+                                   RngStream(0, "candidates"))
+    if case == "both batches degenerate":
+        # score 1 gives gamma = 0, so every step difference is zero
+        cfg = NoiseDiffusionConfig(epochs=3, candidates=8)
+        return run_noise_diffusion(np.ones(4), identity_pipeline(4), ConstantOneScorer(), cfg,
+                                   RngStream(0, "candidates"))
+    pipe, scorer = _QUADRATIC
+    z0 = sample_standard_normal(RngStream(3, "init"), pipe.dim)
+    if case == "noise-diffusion":
+        cfg = NoiseDiffusionConfig(epochs=3, candidates=8)
+        return run_noise_diffusion(z0, pipe, scorer, cfg, RngStream(3, "candidates"))
+    cfg = BaselineConfig(method=case, epochs=3)
+    return run_baseline(z0, pipe, scorer, cfg, RngStream(3, case))
+
+
+_FILLED = {  # the optional EpochRow fields each step fills
+    "noise-diffusion": {"gamma", "selected_ratio", "grad_norm", "v_norm"},
+    "pgd": {"grad_norm", "v_norm"},
+    "mean-variance": {"grad_norm", "v_norm"},
+    "random-sampling": set(),
+    "random-diffusion": {"gamma", "v_norm"},
+    "strict-negative skip": {"gamma", "selected_ratio", "grad_norm"},
+    "both batches degenerate": {"gamma", "grad_norm"},
+}
+
+
+@pytest.mark.parametrize("case", _FILLED)
+def test_epoch_row_fields_each_step_fills(case):
+    filled = _FILLED[case]
+    rec = _row_schema_run(case)
+    optional = ("gamma", "selected_ratio", "grad_norm", "v_norm")
+    assert [
+        {name for name in optional if getattr(row, name) is not None} for row in rec.rows
+    ] == [set()] + [filled] * 3
+    if case == "strict-negative skip":
+        assert all(row.selected_ratio < 0.0 for row in rec.rows[1:])
+        assert [row.score for row in rec.rows] == [0.5] * 4
+
+
 class TestTrajectoryRecord:
     def test_epochs_to(self):
         rec = TrajectoryRecord(method="x")

@@ -189,6 +189,29 @@ def test_out_of_range_is_contract_violation(score_service):
     assert len(score_service.requests) == 1  # deterministic: surfaced without a retry
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_score_that_is_no_number_is_malformed(score_service, value):
+    # a yes/no service answering true must not read as a perfect score
+    score_service.reset(behavior="constant", value=value)
+    with pytest.raises(ScorerUnavailableError, match="malformed score response"):
+        remote_score(score_service.endpoint, [0.0], "a cat", timeout=2.0, retries=1)
+    assert len(score_service.requests) == 2  # retried like any malformed reply
+
+
+def test_integer_beyond_float_range_is_out_of_range(score_service):
+    score_service.reset(behavior="constant", value=10**400)
+    with pytest.raises(ScorerContractError, match=r"remote score 1000.*0000 outside \[0, 1\]"):
+        remote_score(score_service.endpoint, [0.0], "a cat", timeout=2.0, retries=1)
+    assert len(score_service.requests) == 1
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.0, 1.0])
+def test_integer_and_float_ends_are_scores(score_service, value):
+    score_service.reset(behavior="constant", value=value)
+    got = remote_score(score_service.endpoint, [0.0], "a cat", timeout=2.0)
+    assert type(got) is float and got == value
+
+
 def test_timeout_after_retries(score_service):
     score_service.reset(behavior="slow", delay=1.5)
     with pytest.raises(ScorerUnavailableError):

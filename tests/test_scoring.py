@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from noisediff.benchmarks import composite_benchmark, quadratic_benchmark
 from noisediff.diffusion import (
     AnalyticMixtureDenoiser,
     ConstantDenoiser,
@@ -14,8 +15,11 @@ from noisediff.diffusion import (
     NoiseSchedule,
     Pipeline,
     build_schedule,
+    cfg_predict,
+    ddim_step,
 )
 from noisediff.errors import (
+    DimensionError,
     GradientUnavailableError,
     InvalidPromptError,
     NonFiniteError,
@@ -441,13 +445,68 @@ class NaNJacobianDenoiser(ConstantDenoiser):
         return np.full((self.dim, self.dim), np.nan)
 
 
+def _reference_chain(z, pipe, scorer):
+    """The chain gradient as its own loop over ``cfg_predict`` and
+    ``ddim_step``, with the DDIM constants derived from the schedule."""
+    sched, g = pipe.schedule, pipe.guidance
+    jac = np.eye(z.size)
+    for t in range(sched.T, 0, -1):
+        eps = cfg_predict(pipe.model, z, t, g)
+        j_cond = pipe.model.predict_jacobian(z, t, g.condition)
+        if g.null_condition == g.condition:
+            j_null = j_cond
+        else:
+            j_null = pipe.model.predict_jacobian(z, t, g.null_condition)
+        j_eps = g.w * j_cond + (1.0 - g.w) * j_null
+        ab_t, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
+        scale = np.sqrt(ab_prev / ab_t)
+        c_t = np.sqrt(1.0 - ab_prev) - scale * np.sqrt(1.0 - ab_t)
+        jac = (scale * np.eye(z.size) + c_t * j_eps) @ jac
+        z = ddim_step(z, t, eps, sched)
+    return jac.T @ pipe.decoder.adjoint(z, scorer.gradient(pipe.decoder.decode(z)))
+
+
+def _chain_problem(kind, timesteps):
+    """(pipeline, scorer): the composite benchmark guides with a condition
+    other than the null one, the quadratic one with the null condition
+    alone, and the constant denoiser has a zero Jacobian."""
+    if kind == "composite":
+        pipe, sc = composite_benchmark(timesteps)
+        assert pipe.guidance.condition != pipe.guidance.null_condition
+        return pipe, sc
+    if kind == "quadratic":
+        pipe, sc = quadratic_benchmark(timesteps=timesteps)
+        assert pipe.guidance.condition == pipe.guidance.null_condition
+        return pipe, sc
+    pipe = Pipeline(ConstantDenoiser(np.full(5, 0.1)), GuidanceConfig(w=7.5),
+                    build_schedule(timesteps))
+    return pipe, QuadraticSigmoidScorer(target=np.zeros(5), sharpness=0.2, offset=0.5)
+
+
 class TestGradLatentChain:
+    @pytest.mark.parametrize("timesteps", [1, 10, 50])
+    @pytest.mark.parametrize("kind", ["composite", "quadratic", "constant"])
+    def test_walks_the_plan_with_the_reference_bits(self, kind, timesteps):
+        pipe, sc = _chain_problem(kind, timesteps)
+        gen = RngStream(12, f"chain-{kind}-{timesteps}").generator()
+        for _ in range(4):
+            z = gen.standard_normal(pipe.dim)
+            got = grad_latent_chain(z, pipe, sc)
+            assert got.tobytes() == _reference_chain(z, pipe, sc).tobytes()
+
     def test_nonfinite_jacobian_raises(self):
         sched = build_schedule(5)
         pipe = Pipeline(NaNJacobianDenoiser(np.zeros(4)), GuidanceConfig(w=7.5), sched)
         sc = QuadraticSigmoidScorer(target=np.zeros(4), sharpness=0.2)
         with pytest.raises(NonFiniteError, match="chain Jacobian .* t=5"):
             grad_latent_chain(np.ones(4), pipe, sc)
+
+    @pytest.mark.parametrize("shape", [(15,), (1,), (2, 16)])
+    def test_latent_of_another_shape_rejected(self, shape):
+        # the mixture's fused eps checks no shape: the plan takes checked latents
+        pipe, sc = _chain_problem("composite", 3)
+        with pytest.raises(DimensionError, match="one latent of dim 16"):
+            grad_latent_chain(np.zeros(shape), pipe, sc)
 
     def test_matches_fd_on_mixture_pipeline(self):
         pipe, sc = _mixture_setup()
@@ -526,6 +585,7 @@ class _AliasModel:
 
     def __init__(self, model, alias_of):
         self.model, self.alias_of = model, alias_of
+        self.dim = model.dim
         self.jacobians = 0
 
     def _condition(self, condition):
