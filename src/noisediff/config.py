@@ -182,24 +182,12 @@ class ExperimentConfig:
         if r.choice("denoiser.type", ("mixture", "constant"), "mixture") == "constant":
             model = ConstantDenoiser(r.vector("denoiser.constant.value", dim, "0.0"))
         else:
-            indices = sorted({int(m.group(1)) for key in r.keys_with_prefix("denoiser.component.")
-                              if (m := re.match(r"denoiser\.component\.(\d+)\.", key))})
-            if not indices:
-                indices = [0]  # default: single standard-normal component
-            for position, k in enumerate(indices):
-                if k != position:
-                    raise r.error(r.keys_with_prefix(f"denoiser.component.{k}.")[0],
-                                  f"component indices must be 0..K-1, got {indices}")
-            components = []
-            for k in indices:
-                prefix = f"denoiser.component.{k}"
-                components.append(
-                    MixtureComponent(
-                        weight=r.float(f"{prefix}.weight", "1.0", above=0),
-                        mean=self._vector(f"{prefix}.mean", dim),
-                        var=r.float(f"{prefix}.var", "1.0", above=0),
-                    )
-                )
+            # default: single standard-normal component
+            sections = r.numbered_sections("denoiser.component") or ["denoiser.component.0"]
+            components = [MixtureComponent(weight=r.float(f"{p}.weight", "1.0", above=0),
+                                           mean=self._vector(f"{p}.mean", dim),
+                                           var=r.float(f"{p}.var", "1.0", above=0))
+                          for p in sections]
             condition_map = {key[len("denoiser.condition."):]: r.index_list(key, len(components))
                              for key in r.keys_with_prefix("denoiser.condition.")}
             model = AnalyticMixtureDenoiser(components, schedule, condition_map)
@@ -246,9 +234,7 @@ class ExperimentConfig:
             )
         if stype == "composite":
             groups = []
-            j = 0
-            while r.has(f"scorer.group.{j}.indices"):
-                prefix = f"scorer.group.{j}"
+            for prefix in r.numbered_sections("scorer.group"):
                 indices = r.index_list(f"{prefix}.indices", sdim)
                 groups.append(
                     TargetGroup(
@@ -258,7 +244,6 @@ class ExperimentConfig:
                         sharpness=r.float(f"{prefix}.sharpness", "1.0", above=0),
                     )
                 )
-                j += 1
             if not groups:
                 raise r.error("scorer.type", "composite scorer needs scorer.group.0.*")
             return CompositeTargetScorer(groups)
@@ -341,6 +326,19 @@ class _Reader:
 
     def keys_with_prefix(self, prefix) -> list[str]:
         return sorted(k for k in self.entries if k.startswith(prefix))
+
+    def numbered_sections(self, prefix) -> list[str]:
+        """``<prefix>.0`` .. ``<prefix>.<K-1>``, the sections that have keys;
+        a number out of sequence is named at its section's first key."""
+        first_keys: dict[int, str] = {}
+        for key in sorted(self.entries):
+            if m := re.match(rf"{re.escape(prefix)}\.(\d+)\.", key):
+                first_keys.setdefault(int(m.group(1)), key)
+        numbers = sorted(first_keys)
+        for position, k in enumerate(numbers):
+            if k != position:
+                raise self.error(first_keys[k], f"{prefix} numbers must be 0..K-1, got {numbers}")
+        return [f"{prefix}.{k}" for k in numbers]
 
     def error(self, key, message) -> ConfigError:
         if key in self.entries:

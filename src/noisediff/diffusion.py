@@ -125,9 +125,7 @@ class ConstantDenoiser(DenoiserModel):
         self.dim = value.size
 
     def predict(self, z, t: int, condition=None) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape[-1] != self.dim:
-            raise DimensionError(f"latent dim {z.shape[-1]} != model dim {self.dim}")
+        z = _latents_of_width(z, self.dim)
         return np.broadcast_to(self.value, z.shape).copy()
 
     def predict_jacobian(self, z, t: int, condition=None) -> np.ndarray:
@@ -248,9 +246,7 @@ class AnalyticMixtureDenoiser(DenoiserModel):
 
     def predict(self, z, t: int, condition=None) -> np.ndarray:
         """Exact eps via log-sum-exp responsibilities."""
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape[-1] != self.dim:
-            raise DimensionError(f"latent dim {z.shape[-1]} != model dim {self.dim}")
+        z = _latents_of_width(z, self.dim)
         resp, scores, table = self._responsibilities(z, t, condition)
         return table.eps_scale * np.einsum("...k,...kd->...d", resp, scores)
 
@@ -313,16 +309,17 @@ class GuidanceConfig:
         if not np.isfinite(self.w):
             raise ValueError("guidance scale must be finite")
 
+    def combine(self, at):
+        """w * at(condition) + (1 - w) * at(null_condition) for a function
+        ``at`` of the condition, which runs once when the two are the same."""
+        cond = at(self.condition)
+        null = cond if self.null_condition == self.condition else at(self.null_condition)
+        return self.w * cond + (1.0 - self.w) * null
+
 
 def cfg_predict(model: DenoiserModel, z, t: int, g: GuidanceConfig) -> np.ndarray:
-    """w * eps(z, t, C) + (1 - w) * eps(z, t, null); the model runs once
-    when the two conditions are the same."""
-    eps_cond = model.predict(z, t, g.condition)
-    if g.null_condition == g.condition:
-        eps_null = eps_cond
-    else:
-        eps_null = model.predict(z, t, g.null_condition)
-    return g.w * eps_cond + (1.0 - g.w) * eps_null
+    """The guided prediction ``g.combine`` of the model's eps at (z, t)."""
+    return g.combine(lambda condition: model.predict(z, t, condition))
 
 
 def ddim_step(z_t, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
@@ -431,11 +428,7 @@ class Pipeline:
 
     def denoise(self, z_T) -> np.ndarray:
         """z_T carried to z_0 by the step plan; the input is checked once."""
-        z = np.asarray(z_T, dtype=np.float64)
-        if z.ndim == 0:
-            raise DimensionError(f"z_T must be a latent of model dim {self.dim}, got a scalar")
-        if z.shape[-1] != self.dim:
-            raise DimensionError(f"latent dim {z.shape[-1]} != model dim {self.dim}")
+        z = _latents_of_width(z_T, self.dim)
         _require_finite(z, "z_T")
         for eps_at, scale, noise_t, noise_prev in self.plan:
             eps = eps_at(z)
@@ -446,6 +439,16 @@ class Pipeline:
         z0 = self.denoise(z_T)
         _require_finite(z0, "denoised latent")
         return z0, self.decoder.decode(z0)
+
+
+def _latents_of_width(z, dim: int) -> np.ndarray:
+    """z as float64 latents of width ``dim``, one or a stack of them."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 0:
+        raise DimensionError(f"expected latents of model dim {dim}, got a scalar")
+    if z.shape[-1] != dim:
+        raise DimensionError(f"latent dim {z.shape[-1]} != model dim {dim}")
+    return z
 
 
 def _require_finite(array: np.ndarray, name: str) -> None:

@@ -66,6 +66,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# formatter of each trajectory column; a cell is the EpochRow attribute of its name
+_TRAJECTORY_CELLS = dict.fromkeys(TRAJECTORY_HEADER.split(","), _fmt) | {"wall_ms": "{:.3f}".format}
+
+
 def _write(path: str, lines) -> None:
     """Write one artifact, each line ending in a newline; a write that
     fails is a ConfigError naming the file."""
@@ -82,9 +86,7 @@ def _latents_header(dim: int) -> str:
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str):
     _write(path, [TRAJECTORY_HEADER] + [
-        ",".join(map(_fmt, [row.epoch, row.score, row.best_score, row.gamma,
-                            row.selected_ratio, row.grad_norm, row.v_norm]))
-        + f",{row.wall_ms:.3f}"
+        ",".join([fmt(getattr(row, name)) for name, fmt in _TRAJECTORY_CELLS.items()])
         for row in record.rows
     ])
 

@@ -215,16 +215,16 @@ class DistributionReport:
 def as_latent(values, dim: int | None = None) -> np.ndarray:
     """Validate and return a latent as a 1-D float64 array.
 
-    Empty or non-1-D input, or a length other than ``dim`` when that is
+    Empty or non-1-D input, or any shape but ``(dim,)`` when ``dim`` is
     given, is a DimensionError; a NaN or infinite entry a NonFiniteError.
     """
     z = np.asarray(values, dtype=np.float64)
+    if dim is not None and z.shape != (dim,):
+        raise DimensionError(f"expected one latent of dim {dim}, got shape {z.shape}")
     if z.ndim != 1:
         raise DimensionError(f"latent must be 1-D, got shape {z.shape}")
     if z.size == 0:
         raise DimensionError("latent dimension must be >= 1, got 0")
-    if dim is not None and z.size != dim:
-        raise DimensionError(f"latent has dim {z.size}, expected {dim}")
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("latent contains non-finite entries")
     return z

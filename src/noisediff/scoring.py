@@ -42,6 +42,7 @@ from .errors import (
     ScorerContractError,
     ScorerUnavailableError,
 )
+from .latents import as_latent
 
 __all__ = [
     "Scorer",
@@ -264,7 +265,7 @@ def grad_latent_fd(
     scorers; no coordinate means no pass. Default step is
     1e-3 * (1 + max|z|).
     """
-    z = np.asarray(z_T, dtype=np.float64)
+    z = as_latent(z_T, dim=pipeline.dim)
     if h is None:
         h = DEFAULT_FD_STEP * (1.0 + float(np.max(np.abs(z))))
     if not 0.0 < h < np.inf:
@@ -292,26 +293,18 @@ def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
 
     Needs the denoiser's closed-form Jacobian and the scorer's analytic
     gradient; cost is one pass plus T dense (d, d) matrix products. The
-    pass walks the pipeline's step plan, as ``denoise`` does. When the
-    condition and the null condition are the same, each step evaluates
-    one Jacobian, as ``cfg_predict`` evaluates one prediction. A Jacobian
-    that turns non-finite raises NonFiniteError at that step.
+    pass walks the pipeline's step plan, as ``denoise`` does, and each
+    step mixes the model's Jacobians by ``GuidanceConfig.combine``, as
+    ``cfg_predict`` mixes its predictions. A Jacobian that turns
+    non-finite raises NonFiniteError at that step.
     """
-    z = np.asarray(z_T, dtype=np.float64)
-    if z.shape != (pipeline.dim,):
-        raise DimensionError(
-            f"chain gradient takes one latent of dim {pipeline.dim}, got shape {z.shape}")
-    g, steps = pipeline.guidance, zip(range(pipeline.schedule.T, 0, -1), pipeline.plan)
+    z = as_latent(z_T, dim=pipeline.dim)
+    model, steps = pipeline.model, zip(range(pipeline.schedule.T, 0, -1), pipeline.plan)
     jac = np.eye(z.size)
     try:
         for t, (eps_at, scale, noise_t, noise_prev) in steps:
             eps = eps_at(z)
-            j_cond = pipeline.model.predict_jacobian(z, t, g.condition)
-            if g.null_condition == g.condition:
-                j_null = j_cond
-            else:
-                j_null = pipeline.model.predict_jacobian(z, t, g.null_condition)
-            j_eps = g.w * j_cond + (1.0 - g.w) * j_null
+            j_eps = pipeline.guidance.combine(lambda c: model.predict_jacobian(z, t, c))
             jac = (scale * np.eye(z.size) + (noise_prev - scale * noise_t) * j_eps) @ jac
             if not np.isfinite(jac).all():
                 bad = int(np.count_nonzero(~np.isfinite(jac)))
@@ -467,6 +460,15 @@ class RemoteSession:
             self._conn = self._opened_for = None
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer as an int; one beyond Python's int-digit limit as
+    the infinity of its sign, which is as far outside [0, 1]."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def remote_score(
     endpoint: str | Endpoint,
     sample,
@@ -490,20 +492,23 @@ def remote_score(
     out-of-range score, an integer too large for a float included, is a
     deterministic contract violation and raises ScorerContractError on the
     first answer, without a retry. Both are surfaced for the optimizer to
-    abort the epoch cleanly. A ``timeout`` that is not a finite number of
-    seconds > 0, or ``retries`` that is not an int >= 0, is a ValueError.
+    abort the epoch cleanly. A sample with a NaN or infinite entry is a
+    NonFiniteError, raised before any connection opens. A ``timeout``
+    that is not a finite number of seconds > 0, or ``retries`` that is
+    not an int >= 0, is a ValueError.
     """
     endpoint = parse_endpoint(endpoint)
     _check_limits(timeout, retries)
+    sample = np.asarray(sample, dtype=np.float64)
+    if not np.isfinite(sample).all():
+        # JSON has no NaN or infinity, and the fault is the sampler's
+        raise NonFiniteError("sample to score has non-finite entries")
     payload = {
-        "sample": np.asarray(sample, dtype=np.float64).tolist(),
+        "sample": sample.tolist(),
         "prompt": prompt,
         "question": format_vqa_question(prompt),
     }
-    try:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    except ValueError as exc:
-        raise ScorerUnavailableError(f"sample cannot be sent as JSON: {exc}")
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     own = session is None
     if own:
@@ -512,7 +517,8 @@ def remote_score(
     try:
         for _ in range(retries + 1):
             try:
-                value = json.loads(session.post(endpoint, timeout, body, headers))["score"]
+                reply = session.post(endpoint, timeout, body, headers)
+                value = json.loads(reply, parse_int=_json_int)["score"]
                 if type(value) not in (int, float):  # not isinstance: a JSON true is an int
                     raise TypeError(f"score {reprlib.repr(value)} is not a number")
             except ScorerUnavailableError as exc:

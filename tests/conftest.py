@@ -27,6 +27,7 @@ class MockScoreService:
       slow-first   -> the first request sleeps ``delay`` seconds and then
                       answers {"score": 0.0}; later ones answer ``value``
       malformed    -> non-JSON body
+      raw          -> ``value`` itself, bytes, as the body
       http-error   -> status 500
     Requests received are recorded (payload dicts) for wire-format checks,
     and each one's path, headers and raw body in ``raw``; ``connections``
@@ -72,6 +73,8 @@ class MockScoreService:
                         return
                     if service.behavior == "malformed":
                         payload = b"not json"
+                    elif service.behavior == "raw":
+                        payload = service.value
                     elif service.behavior == "out-of-range":
                         payload = json.dumps({"score": 1.3}).encode()
                     elif service.behavior == "slow-first" and first:

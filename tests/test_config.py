@@ -153,6 +153,22 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="0..K-1"):
             ExperimentConfig.from_text(MINIMAL + "denoiser.component.2.weight = 1\n")
 
+    @pytest.mark.parametrize("extra, line, key", [
+        ("scorer.type = composite\nscorer.group.0.indices = 0\nscorer.group.0.target = 0\n"
+         "scorer.group.2.target = 0\nscorer.group.2.indices = 1\n", 7, "scorer.group.2.indices"),
+        ("denoiser.component.01.mean = 1\n", 3, "denoiser.component.01.mean"),
+        ("denoiser.component.0.var = 1\ndenoiser.component.02.mean = 1\n",
+         4, "denoiser.component.02.mean"),
+    ], ids=["group", "component-01", "component-02"])
+    def test_section_number_gap_is_named_at_the_first_key_after_it(self, extra, line, key):
+        message = f"line {line}: {key}: " + r".* numbers must be 0\.\.K-1"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_text(MINIMAL + extra)
+
+    def test_group_without_indices_is_a_missing_key(self):
+        with pytest.raises(ConfigError, match="missing required key 'scorer.group.1.indices'"):
+            ExperimentConfig.from_text(MINIMAL + COMPOSITE + "scorer.group.1.target = 0\n")
+
     def test_seeded_mean_is_deterministic(self):
         text = MINIMAL + "denoiser.component.0.mean_seed = 9\n"
         a = ExperimentConfig.from_text(text).pipeline.model.components[0].mean
@@ -280,6 +296,12 @@ NAMED_AT_PARSE = [
     REMOTE_FD.replace("finite-difference", "approx-constant-eps"),
     "schedule.beta_start = 1e-20\n",
     "timesteps = 1000\nschedule.beta_end = 0.99\n",
+    "strict = maybe\n",
+    "seeds = 1,x\n",
+    "denoiser.condition.a = x\n",
+    "denoiser.condition.a = 1-0\n",
+    "denoiser.component.0.mean = a\n",
+    "scorer.type = composite\n",
 ]
 
 # one value just outside each numeric key's bound, and that bound

@@ -136,6 +136,25 @@ class TestCfgPredict:
         with pytest.raises(UnknownConditionError):
             cfg_predict(m, np.zeros(2), 5, GuidanceConfig(w=1.0, condition="nope"))
 
+    @pytest.mark.parametrize("condition, null_condition, calls", [
+        (None, None, [None]),
+        ("a", "a", ["a"]),
+        ("a", None, ["a", None]),
+        (None, "b", [None, "b"]),
+    ])
+    def test_combine_runs_once_per_distinct_condition(self, condition, null_condition, calls):
+        seen = []
+        values = {None: 1.0, "a": 2.0, "b": 3.0}
+
+        def at(c):
+            seen.append(c)
+            return values[c]
+
+        g = GuidanceConfig(w=7.5, condition=condition, null_condition=null_condition)
+        got = g.combine(at)
+        assert seen == calls
+        assert got == 7.5 * values[condition] + (1.0 - 7.5) * values[null_condition]
+
 
 class TestDdimStep:
     def test_zero_eps_pure_rescale(self):
@@ -675,6 +694,18 @@ class TestPipelineChecks:
         width = shape[-1]
         with pytest.raises(DimensionError, match=f"^latent dim {width} != model dim 6$"):
             pipe.forward(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["mixture", "constant"])
+    @pytest.mark.parametrize("z, message", [
+        (1.0, "got a scalar"),
+        (np.zeros(5), "^latent dim 5 != model dim 6$"),
+        (np.zeros((2, 7)), "^latent dim 7 != model dim 6$"),
+    ])
+    def test_model_predict_checks_as_the_pipeline_does(self, kind, z, message):
+        pipe, _ = _mixture_pipeline()
+        model = pipe.model if kind == "mixture" else ConstantDenoiser(np.zeros(6))
+        with pytest.raises(DimensionError, match=message):
+            model.predict(z, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_named(self, bad):

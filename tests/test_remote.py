@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import noisediff
 from noisediff.config import ExperimentConfig
-from noisediff.errors import ScorerContractError, ScorerUnavailableError
+from noisediff.errors import NonFiniteError, ScorerContractError, ScorerUnavailableError
 from noisediff.experiment import run_experiment
 from noisediff.scoring import RemoteScorer, format_vqa_question, parse_endpoint, remote_score
 
@@ -205,11 +206,34 @@ def test_integer_beyond_float_range_is_out_of_range(score_service):
     assert len(score_service.requests) == 1
 
 
+@pytest.mark.parametrize("digits", ["1" * 4301, "-" + "9" * 5000], ids=["positive", "negative"])
+def test_integer_beyond_the_digit_limit_is_out_of_range(score_service, digits):
+    # json.loads alone refuses more than 4300 digits, as if the reply were malformed
+    score_service.reset(behavior="raw", value=f'{{"score": {digits}}}'.encode())
+    with pytest.raises(ScorerContractError, match=r"remote score -?inf outside \[0, 1\]"):
+        remote_score(score_service.endpoint, [0.0], "a cat", timeout=2.0, retries=1)
+    assert len(score_service.requests) == 1
+
+
 @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0])
 def test_integer_and_float_ends_are_scores(score_service, value):
     score_service.reset(behavior="constant", value=value)
     got = remote_score(score_service.endpoint, [0.0], "a cat", timeout=2.0)
     assert type(got) is float and got == value
+
+
+def test_negative_integer_zero_reads_as_zero(score_service):
+    score_service.reset(behavior="raw", value=b'{"score": -0}')
+    got = remote_score(score_service.endpoint, [0.0], "a cat", timeout=2.0)
+    assert type(got) is float and got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_is_named_before_any_request(score_service, bad):
+    score_service.reset()
+    with pytest.raises(NonFiniteError, match="sample"):
+        remote_score(score_service.endpoint, [0.0, bad], "a cat", timeout=2.0, retries=1)
+    assert score_service.requests == [] and score_service.connections == 0
 
 
 def test_timeout_after_retries(score_service):

@@ -349,6 +349,17 @@ class TestGradLatentFd:
             grad_latent_fd(np.zeros(3), identity_pipeline(3), AffineScorer(np.zeros(3)),
                            h=1e-3, coords=coords)
 
+    @pytest.mark.parametrize("z, error", [
+        ([0.0, np.nan, 0.0], NonFiniteError),
+        ([0.0, np.inf, 0.0], NonFiniteError),
+        (np.zeros((1, 3)), DimensionError),
+        (0.0, DimensionError),
+    ])
+    @pytest.mark.parametrize("h", [None, 1e-3])
+    def test_bad_latent_is_named_before_the_step(self, z, error, h):
+        with pytest.raises(error, match="latent"):
+            grad_latent_fd(z, identity_pipeline(3), AffineScorer(np.zeros(3)), h=h)
+
 
 def fd_per_probe(z, pipeline, scorer, h, coords):
     """Reference for ``grad_latent_fd``: every probe latent through its
@@ -507,6 +518,14 @@ class TestGradLatentChain:
         pipe, sc = _chain_problem("composite", 3)
         with pytest.raises(DimensionError, match="one latent of dim 16"):
             grad_latent_chain(np.zeros(shape), pipe, sc)
+
+    @pytest.mark.parametrize("kind", ["composite", "constant"])
+    def test_non_finite_latent_is_named(self, kind):
+        pipe, sc = _chain_problem(kind, 10)
+        z = np.zeros(pipe.dim)
+        z[0] = np.nan
+        with pytest.raises(NonFiniteError, match="^latent contains non-finite entries$"):
+            grad_latent_chain(z, pipe, sc)
 
     def test_matches_fd_on_mixture_pipeline(self):
         pipe, sc = _mixture_setup()
