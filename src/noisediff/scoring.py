@@ -21,13 +21,12 @@ Three ways to differentiate the latent score s(z_T):
 from __future__ import annotations
 
 import enum
-import http.client
 import json
 import math
 import numbers
 import reprlib
 import socket
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from urllib.parse import quote, urlsplit
 
 import numpy as np
@@ -354,16 +353,27 @@ def format_vqa_question(prompt: str) -> str:
 @dataclass(frozen=True)
 class Endpoint:
     """A parsed score-service URL: the host and port to connect to, over
-    TLS or not, and the request target (path and query)."""
+    TLS or not, and the request target (path and query).
+
+    ``host_header`` is its ``Host`` as http.client writes it: an IPv6
+    literal in brackets and without its zone, a name that is not ASCII in
+    IDNA, and no port when the port is the scheme's default. A host with
+    no IDNA form is a ValueError.
+    """
 
     https: bool
     host: str
     port: int
     target: str
+    host_header: str = field(init=False, repr=False)
 
-    def connect(self, timeout: float) -> http.client.HTTPConnection:
-        cls = http.client.HTTPSConnection if self.https else http.client.HTTPConnection
-        return cls(self.host, self.port, timeout=timeout)
+    def __post_init__(self):
+        host = self.host if self.host.isascii() else self.host.encode("idna").decode("ascii")
+        if ":" in host:
+            host = f"[{host.partition('%')[0]}]"
+        if self.port != (443 if self.https else 80):
+            host = f"{host}:{self.port}"
+        object.__setattr__(self, "host_header", host)
 
 
 def parse_endpoint(url: str | Endpoint) -> Endpoint:
@@ -404,6 +414,115 @@ def _check_limits(timeout, retries) -> None:
 # that ACK by ~40 ms. TCP_QUICKACK, set after each request, acks at once.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
+# http.client's limits: the bytes of one reply line, and the lines of one
+# header section, the empty line that ends it counted.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+def _request(endpoint: Endpoint, body: bytes) -> bytes:
+    """A POST of the JSON ``body`` to ``endpoint``: the head http.client
+    writes for it, with the same headers in the same order, and then the
+    body, so that it goes out in one send."""
+    return (
+        f"POST {endpoint.target} HTTP/1.1\r\nHost: {endpoint.host_header}\r\n"
+        f"Accept-Encoding: identity\r\nContent-Length: {len(body)}\r\n"
+        "Content-Type: application/json\r\n\r\n"
+    ).encode("ascii") + body
+
+
+class _Dropped(Exception):
+    """The service closed the connection before a status line."""
+
+
+def _read_exact(reader, size: int) -> bytes:
+    """``size`` bytes from ``reader``, read at most 1 MiB at a time, so a
+    false length costs no allocation of its size."""
+    parts = []
+    while size > 0:
+        part = reader.read(min(size, 1 << 20))
+        if not part:
+            raise ScorerUnavailableError("score service reply cut short")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _read_fields(reader) -> dict[bytes, bytes]:
+    """One header section, up to and including its empty line: each
+    field's first value by lower-case name."""
+    fields = {}
+    for _ in range(_MAX_HEADERS):
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ScorerUnavailableError(f"score service header line over {_MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise ScorerUnavailableError("score service reply cut short")
+        name, _, value = line.partition(b":")
+        fields.setdefault(name.strip().lower(), value.strip())
+    raise ScorerUnavailableError(f"score service sent over {_MAX_HEADERS} header lines")
+
+
+def _read_chunked(reader) -> bytes:
+    """A ``Transfer-Encoding: chunked`` body; the trailer is discarded."""
+    parts = []
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0 or len(line) > _MAX_LINE:
+            raise ScorerUnavailableError(f"bad chunk size line {reprlib.repr(line)}")
+        if size == 0:
+            _read_fields(reader)
+            return b"".join(parts)
+        parts.append(_read_exact(reader, size))
+        if _read_exact(reader, 2) != b"\r\n":
+            raise ScorerUnavailableError("chunk not ended by CRLF")
+
+
+def _read_reply(reader) -> tuple[bytes, bool]:
+    """The body of the 200 reply on ``reader``, and whether the connection
+    stays open after it.
+
+    A 1xx interim reply is skipped. _Dropped if the connection ends before
+    a status line; ScorerUnavailableError for any other status and for a
+    reply that is malformed, over http.client's limits or cut short. The
+    body is framed by chunks, by Content-Length, or, with neither, by the
+    end of the connection. HTTP/1.1 keeps the connection open unless the
+    reply says ``Connection: close``, HTTP/1.0 only if it says
+    ``Connection: keep-alive``.
+    """
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise _Dropped("connection closed without a reply")
+        version, status = (line.split(None, 2) + [b"", b""])[:2]
+        if not (version.startswith(b"HTTP/1.") and len(status) == 3 and status.isdigit()
+                and len(line) <= _MAX_LINE):
+            raise ScorerUnavailableError(f"bad status line {reprlib.repr(line)}")
+        if not (status == b"200" or status.startswith(b"1")):
+            raise ScorerUnavailableError(f"score service returned HTTP {int(status)}")
+        fields = _read_fields(reader)
+        if status == b"200":
+            break
+    connection = fields.get(b"connection", b"").lower()
+    if version == b"HTTP/1.0":
+        keep_alive = b"keep-alive" in connection
+    else:
+        keep_alive = b"close" not in connection
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return _read_chunked(reader), keep_alive
+    length = fields.get(b"content-length")
+    if length is None:
+        return reader.read(), False
+    if not length.isdigit():
+        raise ScorerUnavailableError(f"bad Content-Length {reprlib.repr(length)}")
+    return _read_exact(reader, int(length)), keep_alive
+
 
 class RemoteSession:
     """One connection to a score service, kept alive across requests.
@@ -411,14 +530,36 @@ class RemoteSession:
     It opens at the first request, and closes when a reply says it will,
     when an attempt fails, when a request goes to another endpoint or
     timeout, and at ``close``. Constructing a session opens nothing.
+
+    It speaks HTTP/1.1 over one socket (over TLS for an ``https``
+    endpoint) and one buffered reader of it, and counts the ``requests``
+    it sends, the ``connections`` it opens and its ``resends``, the
+    requests sent again because a reused connection had been dropped.
     """
 
     def __init__(self):
-        self._conn: http.client.HTTPConnection | None = None
+        self.requests = self.connections = self.resends = 0
+        self._sock = self._reader = None
         self._opened_for: tuple[Endpoint, float] | None = None
 
-    def post(self, endpoint: Endpoint, timeout: float, body: bytes, headers) -> bytes:
-        """POST ``body`` and return the body of a 200 reply.
+    def _open(self, endpoint: Endpoint, timeout: float) -> None:
+        sock = socket.create_connection((endpoint.host, endpoint.port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if endpoint.https:
+                import ssl  # loaded only for an https endpoint
+
+                context = ssl.create_default_context()
+                sock = context.wrap_socket(sock, server_hostname=endpoint.host)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._reader = sock, sock.makefile("rb")
+        self._opened_for = (endpoint, timeout)
+        self.connections += 1
+
+    def post(self, endpoint: Endpoint, timeout: float, body: bytes) -> bytes:
+        """POST the JSON ``body`` and return the body of a 200 reply.
 
         Any failure closes the connection and raises ScorerUnavailableError.
         A reused connection that the server dropped while it was idle is
@@ -426,38 +567,39 @@ class RemoteSession:
         """
         if self._opened_for != (endpoint, timeout):
             self.close()
+        request = _request(endpoint, body)
         while True:
-            reused = self._conn is not None
-            if not reused:
-                self._conn = endpoint.connect(timeout)
-                self._opened_for = (endpoint, timeout)
-            conn = self._conn
+            reused = self._sock is not None
             try:
-                conn.request("POST", endpoint.target, body=body, headers=headers)
+                if not reused:
+                    self._open(endpoint, timeout)
+                self._sock.sendall(request)
+                self.requests += 1
                 if _QUICKACK is not None:
-                    conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-                resp = conn.getresponse()
-                data = resp.read()
-            except (http.client.RemoteDisconnected, ConnectionResetError,
-                    BrokenPipeError) as exc:
+                    self._sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+                data, keep_alive = _read_reply(self._reader)
+            except (_Dropped, ConnectionResetError, BrokenPipeError) as exc:
                 self.close()
                 if reused:
+                    self.resends += 1
                     continue  # dropped while idle; the next pass opens a fresh one
                 raise ScorerUnavailableError(f"score service unreachable: {exc}")
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 self.close()
                 raise ScorerUnavailableError(f"score service unreachable: {exc}")
-            # without TCP_QUICKACK every reused reply would wait out the delayed ACK
-            if resp.will_close or _QUICKACK is None or resp.status != 200:
+            except ScorerUnavailableError:
                 self.close()
-            if resp.status != 200:
-                raise ScorerUnavailableError(f"score service returned HTTP {resp.status}")
+                raise
+            # without TCP_QUICKACK every reused reply would wait out the delayed ACK
+            if not keep_alive or _QUICKACK is None:
+                self.close()
             return data
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = self._opened_for = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = self._opened_for = None
 
 
 def _json_int(text: str) -> int | float:
@@ -509,7 +651,6 @@ def remote_score(
         "question": format_vqa_question(prompt),
     }
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
     own = session is None
     if own:
         session = RemoteSession()
@@ -517,7 +658,7 @@ def remote_score(
     try:
         for _ in range(retries + 1):
             try:
-                reply = session.post(endpoint, timeout, body, headers)
+                reply = session.post(endpoint, timeout, body)
                 value = json.loads(reply, parse_int=_json_int)["score"]
                 if type(value) not in (int, float):  # not isinstance: a JSON true is an int
                     raise TypeError(f"score {reprlib.repr(value)} is not a number")

@@ -2,6 +2,8 @@ import ctypes
 import glob
 import json
 import os
+import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -119,6 +121,70 @@ class MockScoreService:
     def close(self):
         self._server.shutdown()
         self._server.server_close()
+
+
+class RawReplyService:
+    """Loopback service that answers requests with scripted raw bytes.
+
+    ``replies`` holds one entry per request, in order: the reply's bytes,
+    or a ``(bytes, True)`` pair to close the connection after sending
+    them. It serves one connection at a time and reads each request by
+    its Content-Length. Every request's bytes are recorded in
+    ``requests``, the bytes of the first ``recv`` of each in
+    ``first_recvs``; ``connections`` counts the connections accepted.
+    Use it as a context manager.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        self.first_recvs = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = f"http://127.0.0.1:{self._listener.getsockname()[1]}/score"
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while self.replies:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # closed
+            self.connections += 1
+            with conn:
+                try:
+                    self._serve_connection(conn)
+                except OSError:
+                    pass  # the client gave up on a reply
+
+    def _serve_connection(self, conn):
+        while self.replies:
+            data = first = conn.recv(1 << 16)
+            while True:
+                head, sep, body = data.partition(b"\r\n\r\n")
+                if sep and len(body) >= int(re.search(rb"Content-Length: (\d+)", head)[1]):
+                    break
+                more = conn.recv(1 << 16)
+                if not more:
+                    return  # the client closed the connection
+                data += more
+            self.first_recvs.append(first)
+            self.requests.append(data)
+            reply = self.replies.pop(0)
+            reply, close = reply if isinstance(reply, tuple) else (reply, False)
+            conn.sendall(reply)
+            if close:
+                return
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept
+        self._listener.close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
 
 
 @pytest.fixture(scope="session")

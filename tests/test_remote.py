@@ -1,3 +1,4 @@
+import http.client
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from noisediff.errors import NonFiniteError, ScorerContractError, ScorerUnavaila
 from noisediff.experiment import run_experiment
 from noisediff.scoring import RemoteScorer, format_vqa_question, parse_endpoint, remote_score
 
-from conftest import MockScoreService
+from conftest import MockScoreService, RawReplyService
 
 
 def test_constant_mock_roundtrip(score_service):
@@ -316,6 +317,15 @@ class TestRemoteViaCli:
         assert "line 8: scorer.remote.endpoint:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_https_at_plain_service_exit_3(self, tmp_path, score_service):
+        from noisediff.cli import main
+
+        score_service.reset()
+        endpoint = score_service.endpoint.replace("http://", "https://")
+        cfg = self._config(tmp_path, endpoint, timeout_ms=300)
+        assert main(["run", str(cfg)]) == 3
+        assert "ScorerUnavailableError" in (tmp_path / "out" / "status.txt").read_text()
+
     def test_out_of_range_exit_3(self, tmp_path, score_service):
         from noisediff.cli import main
 
@@ -323,3 +333,149 @@ class TestRemoteViaCli:
         cfg = self._config(tmp_path, score_service.endpoint)
         assert main(["run", str(cfg)]) == 3
         assert "ScorerContractError" in (tmp_path / "out" / "status.txt").read_text()
+
+
+def _reply(body=b'{"score": 0.5}', head=b"HTTP/1.1 200 OK\r\n"):
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+def _http_client_sends(ep, body):
+    """What http.client sends for a JSON POST of ``body`` to ``ep``,
+    captured instead of sent."""
+    cls = http.client.HTTPSConnection if ep.https else http.client.HTTPConnection
+    conn = cls(ep.host, ep.port)
+    sent = []
+    conn.send = sent.append
+    conn.request("POST", ep.target, body=body, headers={"Content-Type": "application/json"})
+    return sent
+
+
+def test_request_goes_out_in_one_send():
+    # the head http.client writes, with the body, in the service's first recv
+    with RawReplyService([_reply(), _reply()]) as service:
+        scorer = RemoteScorer(service.endpoint, "a cat", timeout=2.0)
+        try:
+            assert [scorer.score([0.0]), scorer.score([1.0])] == [0.5, 0.5]
+        finally:
+            scorer.close()
+    assert service.first_recvs == service.requests
+    body = service.requests[0].partition(b"\r\n\r\n")[2]
+    assert json.loads(body)["sample"] == [0.0]
+    head = service.requests[0][: -len(body)]
+    assert _http_client_sends(parse_endpoint(service.endpoint), body) == [head, body]
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["http://127.0.0.1:8000/score", "http://[::1]:8000/score", "http://[fe80::1%25eth0]:8000/",
+     "http://example.org/score", "https://example.org/score", "https://example.org:80/score",
+     "http://bücher.example:8080/score", "https://bücher.example/"],
+)
+def test_host_header_is_http_clients(url):
+    ep = parse_endpoint(url)
+    head = _http_client_sends(ep, b"{}")[0]
+    assert f"Host: {ep.host_header}".encode() in head.split(b"\r\n")
+
+
+def test_host_without_idna_form_rejected():
+    with pytest.raises(ValueError):
+        parse_endpoint("http://" + "é" * 64 + ".example/score")
+
+
+@pytest.mark.parametrize("service, connections", [("score_service", 5), ("keepalive_service", 1)])
+def test_session_counts_requests_and_connections(request, service, connections):
+    service = request.getfixturevalue(service)
+    service.reset(behavior="constant", value=0.25)
+    scorer = RemoteScorer(service.endpoint, "a cat", timeout=2.0)
+    session = scorer.session
+    try:
+        for i in range(5):
+            scorer.score([float(i)])
+        assert (session.requests, session.connections, session.resends) == (5, connections, 0)
+        scorer.close()
+        scorer.score([0.0])  # a closed scorer opens a new connection
+        assert (session.requests, session.connections) == (6, connections + 1)
+    finally:
+        scorer.close()
+
+
+def test_session_counts_a_resend():
+    # the service closes after its first reply, which keeps the connection
+    with RawReplyService([(_reply(), True), _reply()]) as service:
+        scorer = RemoteScorer(service.endpoint, "a cat", timeout=2.0, retries=0)
+        try:
+            assert [scorer.score([0.0]), scorer.score([1.0])] == [0.5, 0.5]
+        finally:
+            scorer.close()
+    session = scorer.session
+    assert (session.requests, session.connections, session.resends) == (3, 2, 1)
+    assert service.connections == 2 and len(service.requests) == 2
+
+
+CHUNKED = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+           b"5\r\n{\"sco\r\n9;x=y\r\nre\": 0.5}\r\n0\r\nX-Trailer: 1\r\n\r\n")
+
+
+@pytest.mark.parametrize(
+    "first, connections",
+    [(CHUNKED, 1),
+     (_reply(head=b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"), 1),
+     (_reply(head=b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n"), 1),
+     ((b'HTTP/1.0 200 OK\r\n\r\n{"score": 0.5}', True), 2),
+     ((_reply(head=b"HTTP/1.1 200 OK\r\nConnection: close\r\n"), True), 2),
+     (_reply(head=b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (65536 - 9) + b"\r\n"), 1),
+     (_reply(head=b"HTTP/1.1 200 OK\r\n" + b"X-H: 1\r\n" * 98), 1)],
+    ids=["chunked", "interim-100", "http10-keep-alive", "http10-read-to-close",
+         "connection-close", "65536-byte-line", "99-headers"],
+)
+def test_reply_framing_keeps_the_score(first, connections):
+    # the second reply is read on the first's connection unless that one closed
+    with RawReplyService([first, _reply()]) as service:
+        scorer = RemoteScorer(service.endpoint, "a cat", timeout=2.0, retries=0)
+        try:
+            assert [scorer.score([0.0]), scorer.score([1.0])] == [0.5, 0.5]
+        finally:
+            scorer.close()
+    assert service.connections == scorer.session.connections == connections
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"score": 0.5}', True),
+     b"garbage\r\n\r\n",
+     b"HTTP/2 200\r\nContent-Length: 0\r\n\r\n",
+     _reply(head=b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (65537 - 9) + b"\r\n"),
+     _reply(head=b"HTTP/1.1 200 OK\r\n" + b"X-H: 1\r\n" * 99),
+     _reply(head=b"HTTP/1.1 200 OK\r\n" + b"X-H: 1\r\n" * 100),
+     _reply(b"", head=b"HTTP/1.1 302 Found\r\nLocation: /elsewhere\r\n"),
+     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+     b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n"],
+    ids=["cut-short", "garbage-status", "http2-status", "65537-byte-line", "100-headers",
+         "101-headers", "302", "bad-chunk-size", "negative-length"],
+)
+def test_bad_reply_is_unavailable_and_retried_on_a_new_connection(bad):
+    with RawReplyService([bad]) as service:
+        with pytest.raises(ScorerUnavailableError):
+            remote_score(service.endpoint, [0.0], "a cat", timeout=2.0, retries=0)
+    with RawReplyService([bad, _reply()]) as service:
+        assert remote_score(service.endpoint, [0.0], "a cat", timeout=2.0, retries=1) == 0.5
+    assert service.connections == 2
+
+
+def test_https_at_plain_service_is_unavailable(score_service):
+    score_service.reset()
+    endpoint = score_service.endpoint.replace("http://", "https://")
+    with pytest.raises(ScorerUnavailableError):
+        remote_score(endpoint, [0.0], "a cat", timeout=0.3, retries=0)
+
+
+def test_import_loads_no_http_client_or_ssl():
+    src = os.path.dirname(os.path.dirname(noisediff.__file__))
+    code = (
+        "import sys, noisediff, noisediff.cli; "
+        "print(sorted(m for m in ('http.client', 'ssl') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
