@@ -14,11 +14,17 @@ verification suite:
   16-coordinate groups, used to audit that the optimizer's latents stay
   standard-normal.
 
+``platform_fingerprint`` names the kernels that decide the bits of a
+pinned output, for tests that compare with literals and for benchmark
+records.
+
 Every target vector is a fixed seeded draw, so all numbers here are
 reproducible constants rather than tuned literals.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -38,6 +44,7 @@ __all__ = [
     "composite_benchmark",
     "preservation_benchmark",
     "composite_benchmark_config",
+    "platform_fingerprint",
 ]
 
 
@@ -127,3 +134,29 @@ def composite_benchmark_config(
         "scorer.group.1.sharpness = 1.6",
     ]
     return "\n".join(lines) + "\n"
+
+
+def platform_fingerprint() -> str:
+    """The kernels that decide the bits of a pinned output, as
+    ``numpy 2.4.6, X86_V4/AVX512_SPR, OpenBLAS SkylakeX``: numpy's
+    version, its highest enabled ``X86_V*`` and ``AVX512_*`` features,
+    and the core numpy's bundled OpenBLAS picked when it loaded."""
+    import ctypes  # loaded only here, so importing the package stays lean
+    import glob
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    enabled = [name for name, on in __cpu_features__.items() if on]
+    simd = [[n for n in enabled if n.startswith(prefix)][-1:] for prefix in ("X86_V", "AVX512_")]
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (IndexError, OSError, AttributeError):
+        core = "unknown"
+    return f"numpy {np.__version__}, {'/'.join(sum(simd, [])) or 'baseline'}, OpenBLAS {core}"

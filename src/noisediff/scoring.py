@@ -66,10 +66,17 @@ DEFAULT_FD_STEP = 1e-3
 
 
 class Scorer:
-    """Interface: score(sample) in [0, 1]; gradient(sample) or None."""
+    """Interface: score(sample) in [0, 1], score_batch(samples) the
+    scores of their rows; gradient(sample) or None."""
 
     def score(self, sample):
         raise NotImplementedError
+
+    def score_batch(self, samples) -> list:
+        """The score of each row of ``samples``, in order: one ``score``
+        call per row, so each score has the bits of its row scored alone.
+        A scorer overrides it only to fetch those same scores faster."""
+        return [self.score(row) for row in samples]
 
     def gradient(self, sample):
         """Analytic gradient w.r.t. sample coordinates; None if the scorer
@@ -204,12 +211,17 @@ class GradientMode(str, enum.Enum):
     ANALYTIC_CHAIN = "analytic-chain"
 
 
-def checked_score(scorer: Scorer, sample) -> float:
-    """Evaluate the scorer and enforce its [0, 1] contract."""
-    s = float(scorer.score(sample))
+def _held_to_unit(s) -> float:
+    """A score as a float; ScorerContractError unless it lies in [0, 1]."""
+    s = float(s)
     if not np.isfinite(s) or s < 0.0 or s > 1.0:
         raise ScorerContractError(f"scorer returned {s!r}, outside [0, 1]")
     return s
+
+
+def checked_score(scorer: Scorer, sample) -> float:
+    """Evaluate the scorer and enforce its [0, 1] contract."""
+    return _held_to_unit(scorer.score(sample))
 
 
 def _scorer_gradient(scorer: Scorer, sample):
@@ -257,11 +269,12 @@ def grad_latent_fd(
     The 2k probe latents of the k probed coordinates go through one
     batched ``pipeline.forward``: row 2j bumps coordinate j by +h and row
     2j+1 by -h. Every row of a batched forward has the bits of that
-    latent's forward alone, but a scorer need not be batch-exact, so
-    each probe sample is scored on its own, plus before minus, in
-    coordinate order. ``coords`` limits probing to a subset (remaining
-    entries are zero), which is the probe budget used against remote
-    scorers; no coordinate means no pass. Default step is
+    latent's forward alone. The probe samples go to the scorer's
+    ``score_batch`` in that order, plus before minus, which scores each
+    on its own (a remote scorer pipelines their requests); each score is
+    held to [0, 1] in that order. ``coords`` limits probing to a subset
+    (remaining entries are zero), which is the probe budget used against
+    remote scorers; no coordinate means no pass. Default step is
     1e-3 * (1 + max|z|).
     """
     z = as_latent(z_T, dim=pipeline.dim)
@@ -280,10 +293,8 @@ def grad_latent_fd(
     bumped[rows, probe] = z[probe] + h
     bumped[rows + 1, probe] = z[probe] - h
     _, samples = pipeline.forward(bumped)
-    for j, i in enumerate(probe):
-        plus = checked_score(scorer, samples[2 * j])
-        minus = checked_score(scorer, samples[2 * j + 1])
-        grad[i] = (plus - minus) / (2.0 * h)
+    scores = np.array([_held_to_unit(s) for s in scorer.score_batch(samples)])
+    grad[probe] = (scores[0::2] - scores[1::2]) / (2.0 * h)
     return grad
 
 
@@ -411,13 +422,20 @@ def _check_limits(timeout, retries) -> None:
 # A server that writes a reply's headers and body in two sends with Nagle
 # on, as the standard library's http.server does, holds the body until the
 # headers are acknowledged, and on a reused connection the client delays
-# that ACK by ~40 ms. TCP_QUICKACK, set after each request, acks at once.
+# that ACK by ~40 ms. TCP_QUICKACK, set before each reply is read, acks at
+# once; the kernel clears it again, so it is set anew for every reply.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 # http.client's limits: the bytes of one reply line, and the lines of one
 # header section, the empty line that ends it counted.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+
+# The most requests one send carries. While it goes out the client reads
+# nothing, so the service's replies to it must fit in the sockets' buffers,
+# or a service that answers as it reads would stop reading: 64 score
+# replies of ~100 bytes fit many times over.
+_PIPELINE_DEPTH = 64
 
 
 def _request(endpoint: Endpoint, body: bytes) -> bytes:
@@ -429,6 +447,47 @@ def _request(endpoint: Endpoint, body: bytes) -> bytes:
         f"Accept-Encoding: identity\r\nContent-Length: {len(body)}\r\n"
         "Content-Type: application/json\r\n\r\n"
     ).encode("ascii") + body
+
+
+def _score_body(sample, prompt: str) -> bytes:
+    """The JSON request body that asks for the score of ``sample``. A
+    sample with a NaN or infinite entry is a NonFiniteError: JSON has no
+    NaN or infinity, and the fault is the sampler's."""
+    sample = np.asarray(sample, dtype=np.float64)
+    if not np.isfinite(sample).all():
+        raise NonFiniteError("sample to score has non-finite entries")
+    payload = {
+        "sample": sample.tolist(),
+        "prompt": prompt,
+        "question": format_vqa_question(prompt),
+    }
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
+def _json_int(text: str) -> int | float:
+    """A JSON integer as an int; one beyond Python's int-digit limit as
+    the infinity of its sign, which is as far outside [0, 1]."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _reply_score(body: bytes) -> float:
+    """The score in a reply ``body``, ``{"score": x}``. A body that is not
+    that, with x a JSON number (not true or false), is
+    ScorerUnavailableError; an x outside [0, 1], an integer too large for
+    a float included, is ScorerContractError."""
+    try:
+        value = json.loads(body, parse_int=_json_int)["score"]
+        if type(value) not in (int, float):  # not isinstance: a JSON true is an int
+            raise TypeError(f"score {reprlib.repr(value)} is not a number")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScorerUnavailableError(f"malformed score response: {exc}") from None
+    # exact for an int of any size, and false for NaN
+    if not 0.0 <= value <= 1.0:
+        raise ScorerContractError(f"remote score {reprlib.repr(value)} outside [0, 1]")
+    return float(value)
 
 
 class _Dropped(Exception):
@@ -484,9 +543,9 @@ def _read_chunked(reader) -> bytes:
             raise ScorerUnavailableError("chunk not ended by CRLF")
 
 
-def _read_reply(reader) -> tuple[bytes, bool]:
-    """The body of the 200 reply on ``reader``, and whether the connection
-    stays open after it.
+def _read_reply(reader) -> tuple[bytes, bool, bool]:
+    """The body of the 200 reply on ``reader``, whether the connection
+    stays open after it, and whether it may then carry pipelined requests.
 
     A 1xx interim reply is skipped. _Dropped if the connection ends before
     a status line; ScorerUnavailableError for any other status and for a
@@ -494,7 +553,7 @@ def _read_reply(reader) -> tuple[bytes, bool]:
     body is framed by chunks, by Content-Length, or, with neither, by the
     end of the connection. HTTP/1.1 keeps the connection open unless the
     reply says ``Connection: close``, HTTP/1.0 only if it says
-    ``Connection: keep-alive``.
+    ``Connection: keep-alive``; only a kept HTTP/1.1 connection pipelines.
     """
     while True:
         line = reader.readline(_MAX_LINE + 1)
@@ -511,17 +570,17 @@ def _read_reply(reader) -> tuple[bytes, bool]:
             break
     connection = fields.get(b"connection", b"").lower()
     if version == b"HTTP/1.0":
-        keep_alive = b"keep-alive" in connection
+        keep_alive, pipelines = b"keep-alive" in connection, False
     else:
-        keep_alive = b"close" not in connection
+        keep_alive = pipelines = b"close" not in connection
     if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
-        return _read_chunked(reader), keep_alive
+        return _read_chunked(reader), keep_alive, pipelines
     length = fields.get(b"content-length")
     if length is None:
-        return reader.read(), False
+        return reader.read(), False, False
     if not length.isdigit():
         raise ScorerUnavailableError(f"bad Content-Length {reprlib.repr(length)}")
-    return _read_exact(reader, int(length)), keep_alive
+    return _read_exact(reader, int(length)), keep_alive, pipelines
 
 
 class RemoteSession:
@@ -532,15 +591,20 @@ class RemoteSession:
     timeout, and at ``close``. Constructing a session opens nothing.
 
     It speaks HTTP/1.1 over one socket (over TLS for an ``https``
-    endpoint) and one buffered reader of it, and counts the ``requests``
-    it sends, the ``connections`` it opens and its ``resends``, the
-    requests sent again because a reused connection had been dropped.
+    endpoint) and one buffered reader of it. A fresh connection carries
+    one request alone; once an HTTP/1.1 reply has kept it alive, the
+    requests of one ``scores`` call go out pipelined (RFC 7230 §6.3.2),
+    up to ``_PIPELINE_DEPTH`` in one send, and their replies are read in
+    order. It counts the ``requests`` it sends, the ``connections`` it
+    opens and its ``resends``: requests sent again because the connection
+    they went out on ended before their reply.
     """
 
     def __init__(self):
         self.requests = self.connections = self.resends = 0
         self._sock = self._reader = None
         self._opened_for: tuple[Endpoint, float] | None = None
+        self._pipelines = False  # the connection's last reply allows pipelining
 
     def _open(self, endpoint: Endpoint, timeout: float) -> None:
         sock = socket.create_connection((endpoint.host, endpoint.port), timeout)
@@ -558,57 +622,75 @@ class RemoteSession:
         self._opened_for = (endpoint, timeout)
         self.connections += 1
 
-    def post(self, endpoint: Endpoint, timeout: float, body: bytes) -> bytes:
-        """POST the JSON ``body`` and return the body of a 200 reply.
+    def scores(self, endpoint: Endpoint, timeout: float, bodies, retries: int) -> list[float]:
+        """POST each JSON body of ``bodies`` and return the score of each
+        reply, in order.
 
-        Any failure closes the connection and raises ScorerUnavailableError.
-        A reused connection that the server dropped while it was idle is
-        resent once on a fresh one; a timeout is never resent.
+        The rules hold per score. A failed attempt (a timeout, a
+        connection failure, a non-200 status, a malformed reply) closes
+        the connection, so a retry never reads the late answer of an
+        attempt that timed out; the scores read before it are kept. Each
+        score has ``retries`` more attempts, and a score that fails them
+        all raises ScorerUnavailableError. A request whose kept-alive
+        connection ended before its reply, dropped by the service or
+        closed by an earlier reply, is resent on a fresh one without using
+        an attempt; after a drop the call sends one request at a time. An
+        out-of-range score raises ScorerContractError at once.
         """
         if self._opened_for != (endpoint, timeout):
             self.close()
-        request = _request(endpoint, body)
-        while True:
-            reused = self._sock is not None
+        requests = [_request(endpoint, body) for body in bodies]
+        scores: list[float] = []
+        sent = failures = 0  # requests[:sent] went out; failed attempts of the next score
+        pipelining = True
+        while len(scores) < len(requests):
+            head, reused = len(scores), self._sock is not None
             try:
                 if not reused:
                     self._open(endpoint, timeout)
-                self._sock.sendall(request)
-                self.requests += 1
-                if _QUICKACK is not None:
-                    self._sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-                data, keep_alive = _read_reply(self._reader)
+                depth = _PIPELINE_DEPTH if pipelining and self._pipelines else 1
+                batch = requests[head:head + depth]
+                self._sock.sendall(b"".join(batch))
+                self.requests += len(batch)
+                # what went out before is resent, but for a retry of a failed score
+                self.resends += max(0, min(len(batch), sent - head) - (failures > 0))
+                sent = max(sent, head + len(batch))
+                for left in reversed(range(len(batch))):  # replies still due after this one
+                    if _QUICKACK is not None:
+                        self._sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+                    data, keep_alive, self._pipelines = _read_reply(self._reader)
+                    scores.append(_reply_score(data))
+                    failures = 0
+                    # without TCP_QUICKACK every reused reply would wait out the delayed ACK
+                    if not keep_alive or _QUICKACK is None or (left and not self._pipelines):
+                        self.close()  # the requests left are resent on a fresh connection
+                        break
+                continue
             except (_Dropped, ConnectionResetError, BrokenPipeError) as exc:
-                self.close()
                 if reused:
-                    self.resends += 1
-                    continue  # dropped while idle; the next pass opens a fresh one
-                raise ScorerUnavailableError(f"score service unreachable: {exc}")
+                    self.close()
+                    pipelining = False
+                    continue  # dropped while kept; the next pass opens a fresh one
+                last = ScorerUnavailableError(f"score service unreachable: {exc}")
             except OSError as exc:
-                self.close()
-                raise ScorerUnavailableError(f"score service unreachable: {exc}")
-            except ScorerUnavailableError:
+                last = ScorerUnavailableError(f"score service unreachable: {exc}")
+            except ScorerUnavailableError as exc:
+                last = exc
+            except BaseException:  # replies sent for may be left unread
                 self.close()
                 raise
-            # without TCP_QUICKACK every reused reply would wait out the delayed ACK
-            if not keep_alive or _QUICKACK is None:
-                self.close()
-            return data
+            self.close()
+            failures += 1
+            if failures > retries:
+                raise last
+        return scores
 
     def close(self) -> None:
         if self._sock is not None:
             self._reader.close()
             self._sock.close()
             self._sock = self._reader = self._opened_for = None
-
-
-def _json_int(text: str) -> int | float:
-    """A JSON integer as an int; one beyond Python's int-digit limit as
-    the infinity of its sign, which is as far outside [0, 1]."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+            self._pipelines = False
 
 
 def remote_score(
@@ -641,42 +723,15 @@ def remote_score(
     """
     endpoint = parse_endpoint(endpoint)
     _check_limits(timeout, retries)
-    sample = np.asarray(sample, dtype=np.float64)
-    if not np.isfinite(sample).all():
-        # JSON has no NaN or infinity, and the fault is the sampler's
-        raise NonFiniteError("sample to score has non-finite entries")
-    payload = {
-        "sample": sample.tolist(),
-        "prompt": prompt,
-        "question": format_vqa_question(prompt),
-    }
-    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    body = _score_body(sample, prompt)
     own = session is None
     if own:
         session = RemoteSession()
-    last: ScorerUnavailableError | None = None
     try:
-        for _ in range(retries + 1):
-            try:
-                reply = session.post(endpoint, timeout, body)
-                value = json.loads(reply, parse_int=_json_int)["score"]
-                if type(value) not in (int, float):  # not isinstance: a JSON true is an int
-                    raise TypeError(f"score {reprlib.repr(value)} is not a number")
-            except ScorerUnavailableError as exc:
-                last = exc
-                continue
-            except (KeyError, TypeError, ValueError) as exc:
-                session.close()
-                last = ScorerUnavailableError(f"malformed score response: {exc}")
-                continue
-            # exact for an int of any size, and false for NaN
-            if not 0.0 <= value <= 1.0:
-                raise ScorerContractError(f"remote score {reprlib.repr(value)} outside [0, 1]")
-            return float(value)
+        return session.scores(endpoint, timeout, [body], retries)[0]
     finally:
         if own:
             session.close()
-    raise last
 
 
 class RemoteScorer(Scorer):
@@ -702,6 +757,14 @@ class RemoteScorer(Scorer):
             self.endpoint, sample, self.prompt, self.timeout, self.retries,
             session=self.session,
         )
+
+    def score_batch(self, samples):
+        """The scores of the rows of ``samples``, their requests pipelined
+        on the scorer's connection by the rules of ``remote_score``, which
+        hold per score; every row is checked for NaN and infinity before
+        any request."""
+        bodies = [_score_body(row, self.prompt) for row in samples]
+        return self.session.scores(self.endpoint, self.timeout, bodies, self.retries)
 
     def close(self):
         self.session.close()

@@ -1,7 +1,4 @@
-import ctypes
-import glob
 import json
-import os
 import re
 import socket
 import threading
@@ -10,6 +7,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+
+from noisediff.benchmarks import platform_fingerprint
 
 
 class MockScoreService:
@@ -30,6 +29,8 @@ class MockScoreService:
                       answers {"score": 0.0}; later ones answer ``value``
       malformed    -> non-JSON body
       raw          -> ``value`` itself, bytes, as the body
+      function     -> {"score": value(sample)}, ``value`` a function of
+                      the request's sample
       http-error   -> status 500
     Requests received are recorded (payload dicts) for wire-format checks,
     and each one's path, headers and raw body in ``raw``; ``connections``
@@ -77,6 +78,9 @@ class MockScoreService:
                         payload = b"not json"
                     elif service.behavior == "raw":
                         payload = service.value
+                    elif service.behavior == "function":
+                        sample = service.requests[-1]["sample"]
+                        payload = json.dumps({"score": service.value(sample)}).encode()
                     elif service.behavior == "out-of-range":
                         payload = json.dumps({"score": 1.3}).encode()
                     elif service.behavior == "slow-first" and first:
@@ -128,15 +132,19 @@ class RawReplyService:
 
     ``replies`` holds one entry per request, in order: the reply's bytes,
     or a ``(bytes, True)`` pair to close the connection after sending
-    them. It serves one connection at a time and reads each request by
-    its Content-Length. Every request's bytes are recorded in
-    ``requests``, the bytes of the first ``recv`` of each in
-    ``first_recvs``; ``connections`` counts the connections accepted.
-    Use it as a context manager.
+    them, or a ``(bytes, close, delay)`` triple that first waits ``delay``
+    seconds. It serves one connection at a time and reads each request by
+    its Content-Length; bytes past one request are kept for the next
+    request on the connection, so pipelined requests are read one by one.
+    Every request's bytes are recorded in ``requests``, and in
+    ``first_recvs`` the bytes the service held when it began that request
+    (after a first ``recv`` if it held none); ``connections`` counts the
+    connections accepted. Use it as a context manager.
     """
 
     def __init__(self, replies):
-        self.replies = list(replies)
+        self.replies = [reply if isinstance(reply, tuple) else (reply, False)
+                        for reply in replies]
         self.requests = []
         self.first_recvs = []
         self.connections = 0
@@ -159,20 +167,25 @@ class RawReplyService:
                     pass  # the client gave up on a reply
 
     def _serve_connection(self, conn):
+        data = b""
         while self.replies:
-            data = first = conn.recv(1 << 16)
+            data = first = data or conn.recv(1 << 16)
             while True:
-                head, sep, body = data.partition(b"\r\n\r\n")
-                if sep and len(body) >= int(re.search(rb"Content-Length: (\d+)", head)[1]):
-                    break
+                head, sep, _ = data.partition(b"\r\n\r\n")
+                if sep:
+                    end = len(head) + len(sep) + int(re.search(rb"Content-Length: (\d+)", head)[1])
+                    if len(data) >= end:
+                        break
                 more = conn.recv(1 << 16)
                 if not more:
                     return  # the client closed the connection
                 data += more
             self.first_recvs.append(first)
-            self.requests.append(data)
-            reply = self.replies.pop(0)
-            reply, close = reply if isinstance(reply, tuple) else (reply, False)
+            self.requests.append(data[:end])
+            data = data[end:]
+            reply, close, *delay = self.replies.pop(0)
+            if delay:
+                time.sleep(delay[0])
             conn.sendall(reply)
             if close:
                 return
@@ -224,29 +237,6 @@ class CountingPipeline:
 @pytest.fixture
 def counting_pipeline():
     return CountingPipeline
-
-
-def platform_fingerprint() -> str:
-    """The kernels that decide the bits of a pinned output, as
-    ``numpy 2.4.6, X86_V4/AVX512_SPR, OpenBLAS SkylakeX``: numpy's
-    version, its highest enabled ``X86_V*`` and ``AVX512_*`` features,
-    and the core numpy's bundled OpenBLAS picked when it loaded."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-
-    enabled = [name for name, on in __cpu_features__.items() if on]
-    simd = [[n for n in enabled if n.startswith(prefix)][-1:] for prefix in ("X86_V", "AVX512_")]
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
-    except (IndexError, OSError, AttributeError):
-        core = "unknown"
-    return f"numpy {np.__version__}, {'/'.join(sum(simd, [])) or 'baseline'}, OpenBLAS {core}"
 
 
 def pytest_configure(config):

@@ -10,10 +10,19 @@ import numpy as np
 import pytest
 
 import noisediff
+from noisediff import scoring
+from noisediff.benchmarks import composite_benchmark
 from noisediff.config import ExperimentConfig
 from noisediff.errors import NonFiniteError, ScorerContractError, ScorerUnavailableError
 from noisediff.experiment import run_experiment
-from noisediff.scoring import RemoteScorer, format_vqa_question, parse_endpoint, remote_score
+from noisediff.scoring import (
+    RemoteScorer,
+    Scorer,
+    format_vqa_question,
+    grad_latent_fd,
+    parse_endpoint,
+    remote_score,
+)
 
 from conftest import MockScoreService, RawReplyService
 
@@ -479,3 +488,174 @@ def test_import_loads_no_http_client_or_ssl():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _score_reply(value, head=b"HTTP/1.1 200 OK\r\n"):
+    return _reply(json.dumps({"score": value}).encode(), head=head)
+
+
+def _samples_of(requests):
+    return [json.loads(r.partition(b"\r\n\r\n")[2])["sample"] for r in requests]
+
+
+class SequentialRemoteScorer(RemoteScorer):
+    """The reference: the default batch, one ``remote_score`` per row."""
+
+    score_batch = Scorer.score_batch
+
+
+SAMPLES = [[0.0], [1.0], [2.0], [3.0]]
+
+
+def _score_batch(service, samples=SAMPLES, scorer_class=RemoteScorer, timeout=2.0, retries=1):
+    """The scores of ``samples`` from a new scorer of ``service``, and its
+    session, closed."""
+    scorer = scorer_class(service.endpoint, "a cat", timeout=timeout, retries=retries)
+    try:
+        return scorer.score_batch(samples), scorer.session
+    finally:
+        scorer.close()
+
+
+def test_batch_pipelines_once_the_connection_kept_alive():
+    replies = [_score_reply(v) for v in (0.1, 0.2, 0.3, 0.4)]
+    with RawReplyService(replies) as service:
+        scores, session = _score_batch(service)
+    assert scores == [0.1, 0.2, 0.3, 0.4]
+    # a fresh connection sends one request alone, then the rest in one send
+    assert service.first_recvs[0] == service.requests[0]
+    assert service.first_recvs[1] == b"".join(service.requests[1:])
+    assert _samples_of(service.requests) == SAMPLES
+    assert (session.requests, session.connections, session.resends) == (4, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"score": 0.5}', True),
+     (_reply(b"", head=b"HTTP/1.1 500 Internal Server Error\r\n"), True),
+     (_reply(b"not json"), True)],
+    ids=["cut-short", "http-500", "malformed"],
+)
+def test_batch_failure_uses_one_attempt_and_resends_the_rest(bad):
+    # the second score fails once: the first is kept, the second retried,
+    # the two sent after it resent on the fresh connection
+    replies = [_score_reply(0.1), bad] + [_score_reply(v) for v in (0.2, 0.3, 0.4)]
+    with RawReplyService(replies) as service:
+        scores, session = _score_batch(service, retries=1)
+    assert scores == [0.1, 0.2, 0.3, 0.4]
+    assert (session.requests, session.connections, session.resends) == (7, 2, 2)
+    assert _samples_of(service.requests) == [[0.0], [1.0], [1.0], [2.0], [3.0]]
+    with RawReplyService([_score_reply(0.1), bad]) as service:
+        with pytest.raises(ScorerUnavailableError):
+            _score_batch(service, retries=0)
+
+
+def test_batch_connection_close_mid_batch_resends_the_rest():
+    close = (_score_reply(0.2, head=b"HTTP/1.1 200 OK\r\nConnection: close\r\n"), True)
+    replies = [_score_reply(0.1), close, _score_reply(0.3), _score_reply(0.4)]
+    with RawReplyService(replies) as service:
+        scores, session = _score_batch(service, retries=0)
+    assert scores == [0.1, 0.2, 0.3, 0.4]
+    # the service sees each request once, as from sequential scores
+    assert _samples_of(service.requests) == SAMPLES
+    assert (session.requests, session.connections, session.resends) == (6, 2, 2)
+    # the fresh connection starts alone again
+    assert service.first_recvs[2] == service.requests[2]
+
+
+def test_batch_after_a_dropped_connection_sends_one_request_at_a_time():
+    # the service closes after every reply without saying so: the pipelined
+    # rest is lost once, and from then on each request goes alone
+    replies = [(_score_reply(v), True) for v in (0.1, 0.2, 0.3, 0.4)]
+    with RawReplyService(replies) as service:
+        scores, session = _score_batch(service, retries=0)
+    assert scores == [0.1, 0.2, 0.3, 0.4]
+    assert _samples_of(service.requests) == SAMPLES
+    assert service.first_recvs == service.requests
+    assert (session.requests, session.connections, session.resends) == (9, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "head, connections",
+    [(b"HTTP/1.0 200 OK\r\n", 4), (b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n", 1)],
+    ids=["http10", "http10-keep-alive"],
+)
+def test_batch_to_http10_service_sends_the_sequential_requests(head, connections):
+    sent = {}
+    for scorer_class in (SequentialRemoteScorer, RemoteScorer):
+        replies = [(_score_reply(v, head=head), connections > 1) for v in (0.1, 0.2, 0.3, 0.4)]
+        with RawReplyService(replies) as service:
+            scores, session = _score_batch(service, scorer_class=scorer_class, retries=0)
+        assert scores == [0.1, 0.2, 0.3, 0.4]
+        assert (session.requests, session.connections, session.resends) == (4, connections, 0)
+        assert service.first_recvs == service.requests  # every request alone
+        host = parse_endpoint(service.endpoint).host_header.encode()
+        sent[scorer_class] = [r.replace(host, b"HOST") for r in service.requests]
+    assert sent[RemoteScorer] == sent[SequentialRemoteScorer]
+
+
+def test_batch_timeout_uses_one_attempt_of_that_score_only():
+    # the third and fourth scores each time out once; with one retry each
+    # both still arrive. A late reply comes after the client gave up on it.
+    late = (_score_reply(0.0), True, 0.7)
+    replies = [_score_reply(0.1), _score_reply(0.2), late, _score_reply(0.3), late,
+               _score_reply(0.4)]
+    with RawReplyService(replies) as service:
+        scores, session = _score_batch(service, timeout=0.5, retries=1)
+    assert scores == [0.1, 0.2, 0.3, 0.4]
+    assert (session.requests, session.connections, session.resends) == (7, 3, 1)
+    assert _samples_of(service.requests) == [[0.0], [1.0], [2.0], [2.0], [3.0], [3.0]]
+
+
+def test_batch_out_of_range_score_is_contract_violation_in_order():
+    replies = [_score_reply(v) for v in (0.1, 0.2, 1.3, 0.4)]
+    for scorer_class in (SequentialRemoteScorer, RemoteScorer):
+        with RawReplyService(replies) as service:
+            with pytest.raises(ScorerContractError, match=r"remote score 1\.3 outside"):
+                _score_batch(service, scorer_class=scorer_class, retries=1)
+        # surfaced on the first answer, without a retry
+        assert _samples_of(service.requests)[:3] == SAMPLES[:3]
+        assert _samples_of(service.requests).count([2.0]) == 1
+
+
+def test_batch_without_quickack_sends_the_sequential_requests(keepalive_service, monkeypatch):
+    # without TCP_QUICKACK the session closes after every reply, so it never pipelines
+    monkeypatch.setattr(scoring, "_QUICKACK", None)
+    keepalive_service.reset(behavior="function", value=lambda sample: sample[0] / 8.0)
+    samples = [[float(i)] for i in range(5)]
+    scores, session = _score_batch(keepalive_service, samples)
+    assert scores == [i / 8.0 for i in range(5)]
+    assert keepalive_service.connections == session.connections == 5
+    assert [p["sample"] for p in keepalive_service.requests] == samples
+
+
+def test_batch_deeper_than_one_send(keepalive_service):
+    keepalive_service.reset(behavior="function", value=lambda sample: sample[0] / 200.0)
+    samples = [[float(i)] for i in range(150)]
+    scores, session = _score_batch(keepalive_service, samples)
+    assert scores == [i / 200.0 for i in range(150)]
+    assert [p["sample"] for p in keepalive_service.requests] == samples
+    assert (session.requests, session.connections, session.resends) == (150, 1, 0)
+
+
+@pytest.mark.parametrize("service", ["score_service", "keepalive_service"])
+def test_fd_gradient_pipelined_equals_sequential(request, service):
+    """Pipelined probe scores give the gradient bits of the sequential
+    loop, and of the local scorer the service runs, and the service sees
+    the same request bodies in the same order."""
+    service = request.getfixturevalue(service)
+    pipeline, local = composite_benchmark(timesteps=5)
+    z = np.random.default_rng(3).standard_normal(pipeline.dim)
+    expected = grad_latent_fd(z, pipeline, local, coords=[0, 5, 9, 15])
+    bodies = {}
+    for scorer_class in (SequentialRemoteScorer, RemoteScorer):
+        service.reset(behavior="function", value=lambda s: float(local.score(np.array(s))))
+        remote = scorer_class(service.endpoint, "a cat", timeout=2.0)
+        try:
+            got = grad_latent_fd(z, pipeline, remote, coords=[0, 5, 9, 15])
+        finally:
+            remote.close()
+        assert got.tobytes() == expected.tobytes()
+        bodies[scorer_class] = [body for _, _, body in service.raw]
+    assert len(bodies[RemoteScorer]) == 8
+    assert bodies[RemoteScorer] == bodies[SequentialRemoteScorer]

@@ -166,6 +166,29 @@ class TestScorers:
         assert np.asarray(sc.score(x)).tobytes() == np.asarray(score).tobytes()
         assert sc.gradient(x).tobytes() == grad.tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 24), rows=st.integers(0, 12),
+           kind=st.sampled_from(["quadratic", "composite"]))
+    def test_default_score_batch_equals_per_row_score(self, seed, dim, rows, kind):
+        """The default batch scores each row on its own, so every score
+        has the bits of ``score`` on that row; a batched score of the
+        composite scorer need not."""
+        gen = RngStream(seed, "score-batch").generator()
+        if kind == "quadratic":
+            sc = QuadraticSigmoidScorer(gen.standard_normal(dim), float(gen.uniform(0.05, 2.0)),
+                                        float(gen.uniform(-2.0, 4.0)))
+        else:
+            half = max(1, dim // 2)
+            sc = CompositeTargetScorer([
+                TargetGroup(tuple(range(half)), gen.standard_normal(half), 2.0, 1.5),
+                TargetGroup(tuple(range(dim - half, dim)), gen.standard_normal(half), 3.0, 0.7),
+            ])
+        samples = gen.standard_normal((rows, dim)) * float(gen.uniform(0.1, 4.0))
+        got = sc.score_batch(samples)
+        assert [np.float64(s).tobytes() for s in got] == [
+            np.float64(sc.score(row)).tobytes() for row in samples
+        ]
+
     def test_quadratic_hessian_bound_dominates_samples(self):
         sc = QuadraticSigmoidScorer(target=np.zeros(4), sharpness=0.5, offset=1.0)
         bound = sc.hessian_bound()
