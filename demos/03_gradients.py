@@ -4,7 +4,7 @@ is trustworthy.
 The one-pass gradient treats noise predictions as constants, reducing the
 pipeline Jacobian to a scalar. That is exact for a frozen predictor and
 an approximation otherwise; the finite-difference oracle and the exact
-Jacobian chain measure the gap.
+reverse-mode chain measure the gap.
 """
 
 import numpy as np
@@ -59,4 +59,4 @@ compare("close narrow mixture (approximation degrades)",
 
 print("\ncost reminder: one-pass = 1 pipeline pass; finite differences = 2d latents")
 print("in one batched pass, each probe sample scored on its own;")
-print("chain = 1 pass plus T dense (d, d) Jacobian products.")
+print("chain = 1 pass plus one vector-Jacobian product per step and condition.")

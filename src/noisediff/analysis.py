@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientSampleError
+from .errors import InsufficientSampleError, NonFiniteError, ScorerContractError
 from .latents import DistributionReport, RngStream, ks_normality, moment_diagnostics
 from .optimizers import _alignment
 
@@ -75,7 +75,9 @@ def probe_hessian_bound(
     second differences amplify round-off). The estimate is a lower bound
     of the true supremum and grows monotonically with ``num_probes`` for
     a fixed stream. Probes exceeding 10x the running estimate after a
-    warmup are classified as kink artifacts and reported separately.
+    warmup are classified as kink artifacts and reported separately. A
+    NaN or infinite probe score is a ScorerContractError naming the
+    probe: dropped, it would leave the bound too small.
     """
     if num_probes < 1:
         raise ValueError("need at least one probe")
@@ -93,11 +95,12 @@ def probe_hessian_bound(
         point = center + radius * gen.uniform() ** (1.0 / center.size) * direction
         u = gen.standard_normal(center.size)
         u /= np.linalg.norm(u)
-        quad = abs(
-            float(score_fn(point + h * u))
-            - 2.0 * float(score_fn(point))
-            + float(score_fn(point - h * u))
-        ) / (h * h)
+        plus, mid, minus = (float(score_fn(x)) for x in (point + h * u, point, point - h * u))
+        if not np.isfinite([plus, mid, minus]).all():
+            raise ScorerContractError(
+                f"probe {k} scored non-finite: {plus!r}, {mid!r}, {minus!r}"
+            )
+        quad = abs(plus - 2.0 * mid + minus) / (h * h)
         if k >= _KINK_WARMUP and estimate > 0.0 and quad > KINK_OUTLIER_FACTOR * estimate:
             outliers.append(quad)
             continue
@@ -127,8 +130,13 @@ def check_improvement_condition(
 
     If grad . v / ||v||^2 >= c/2 + delta, the updated score must satisfy
     s_next >= s + delta ||v||^2 (up to ``tol``); otherwise the theorem
-    makes no claim and the report passes vacuously.
+    makes no claim and the report passes vacuously. A NaN or infinite
+    score, gradient or step is a NonFiniteError: its ratio would be NaN,
+    and the report would pass vacuously. An infinite ``c`` is allowed.
     """
+    for name, value in (("s", s), ("s_next", s_next), ("grad", grad), ("v", v)):
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"improvement check got a non-finite {name}")
     if not c >= 0.0:
         raise ValueError(f"Hessian bound c must be >= 0, got {c}")
     if not delta > 0.0:

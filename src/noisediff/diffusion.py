@@ -91,10 +91,10 @@ class DenoiserModel:
     def predict(self, z, t: int, condition=None) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_jacobian(self, z, t: int, condition=None) -> np.ndarray:
-        """d eps / d z as a (dim, dim) matrix; optional, used by the exact
-        gradient chain. Subclasses without a closed form leave this
-        unimplemented."""
+    def predict_vjp(self, z, t: int, condition, u) -> np.ndarray:
+        """u^T d eps / d z at a single latent z, shape (dim,); optional,
+        used by the exact gradient chain. Subclasses without a closed
+        form leave this unimplemented."""
         raise NotImplementedError
 
     def guided_eps(self, t: int, guidance: GuidanceConfig) -> Callable[[np.ndarray], np.ndarray]:
@@ -128,8 +128,8 @@ class ConstantDenoiser(DenoiserModel):
         z = _latents_of_width(z, self.dim)
         return np.broadcast_to(self.value, z.shape).copy()
 
-    def predict_jacobian(self, z, t: int, condition=None) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
+    def predict_vjp(self, z, t: int, condition, u) -> np.ndarray:
+        return np.zeros(self.dim)
 
 
 @dataclass(frozen=True)
@@ -250,18 +250,17 @@ class AnalyticMixtureDenoiser(DenoiserModel):
         resp, scores, table = self._responsibilities(z, t, condition)
         return table.eps_scale * np.einsum("...k,...kd->...d", resp, scores)
 
-    def predict_jacobian(self, z, t: int, condition=None) -> np.ndarray:
-        """Closed-form d eps / d z for a single latent z of shape (d,)."""
-        z = np.asarray(z, dtype=np.float64)
+    def predict_vjp(self, z, t: int, condition, u) -> np.ndarray:
+        """Closed-form u^T d eps / d z at a single latent z: eps_scale times the
+        symmetric Hessian of log p_t, sum_k r_k (dev_k dev_k^T - I/V_k) with
+        dev_k = g_k - g_bar, applied to u in O(K d). Uncentered, as sum_k r_k
+        g_k g_k^T - g_bar g_bar^T, it cancels catastrophically far from every mode."""
+        z = _latents_of_width(z, self.dim)
         if z.ndim != 1:
-            raise DimensionError("jacobian is defined for a single latent")
-        resp, comp_scores, table = self._responsibilities(z, t, condition)
-        mean_score = resp @ comp_scores
-        # Hessian of log p_t: sum_k r_k (-I/V_k + g_k g_k^T) - g_bar g_bar^T
-        hess = -np.sum(resp / table.variances) * np.eye(self.dim)
-        hess += np.einsum("k,ki,kj->ij", resp, comp_scores, comp_scores)
-        hess -= np.outer(mean_score, mean_score)
-        return table.eps_scale * hess
+            raise DimensionError("the vector-Jacobian product takes a single latent")
+        resp, scores, table = self._responsibilities(z, t, condition)
+        dev = scores - resp @ scores
+        return table.eps_scale * ((resp * (dev @ u)) @ dev - np.sum(resp / table.variances) * u)
 
     def guided_eps(self, t: int, guidance: GuidanceConfig) -> Callable[[np.ndarray], np.ndarray]:
         """``cfg_predict`` fused, bit for bit: the condition's and the null
@@ -451,8 +450,8 @@ def _latents_of_width(z, dim: int) -> np.ndarray:
     return z
 
 
-def _require_finite(array: np.ndarray, name: str) -> None:
+def _require_finite(array: np.ndarray, name: str, where: str = "") -> None:
     if not np.isfinite(array).all():
         bad = int(np.count_nonzero(~np.isfinite(array)))
-        raise NonFiniteError(f"{name} has {bad} non-finite of {array.size} entries")
+        raise NonFiniteError(f"{name} has {bad} non-finite of {array.size} entries{where}")
 

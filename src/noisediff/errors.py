@@ -26,13 +26,14 @@ class UnknownConditionError(NoiseDiffError, ValueError):
 
 
 class GradientUnavailableError(NoiseDiffError, RuntimeError):
-    """The requested gradient mode needs an analytic gradient or Jacobian
-    that this scorer/denoiser does not provide."""
+    """The requested gradient mode needs an analytic gradient or
+    vector-Jacobian product that this scorer/denoiser does not provide."""
 
 
 class NonFiniteError(NoiseDiffError):
-    """A latent given to the library, or one the sampler produced, has a
-    non-finite entry (NaN or infinity)."""
+    """A latent, gradient, step or score given to the library, or one the
+    sampler or a gradient produced, has a non-finite entry (NaN or
+    infinity)."""
 
 
 class ScorerContractError(NoiseDiffError, RuntimeError):

@@ -14,8 +14,8 @@ Three ways to differentiate the latent score s(z_T):
   it: each epoch's gradient reuses the forward that scored the latent;
 * ``grad_latent_fd`` — central finite differences through the whole
   pipeline, 2d probe latents in one batched pass, the exactness oracle;
-* ``grad_latent_chain`` — exact forward-accumulated Jacobian, available
-  when the denoiser has a closed-form Jacobian.
+* ``grad_latent_chain`` — exact, by reverse mode through the T steps;
+  available when the denoiser has a vector-Jacobian product.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from urllib.parse import quote, urlsplit
 import numpy as np
 from scipy.special import expit
 
-from .diffusion import Pipeline
+from .diffusion import DenoiserModel, Pipeline, _require_finite
 from .errors import (
     DimensionError,
     GradientUnavailableError,
@@ -299,35 +299,36 @@ def grad_latent_fd(
 
 
 def grad_latent_chain(z_T, pipeline: Pipeline, scorer: Scorer) -> np.ndarray:
-    """Exact gradient via forward accumulation of the DDIM Jacobian.
+    """Exact gradient by reverse mode through the DDIM steps.
 
-    Needs the denoiser's closed-form Jacobian and the scorer's analytic
-    gradient; cost is one pass plus T dense (d, d) matrix products. The
-    pass walks the pipeline's step plan, as ``denoise`` does, and each
-    step mixes the model's Jacobians by ``GuidanceConfig.combine``, as
-    ``cfg_predict`` mixes its predictions. A Jacobian that turns
-    non-finite raises NonFiniteError at that step.
+    Needs the denoiser's ``predict_vjp`` and the scorer's analytic
+    gradient; cost is one pass plus one product per step and condition.
+    The pass walks the step plan, as ``denoise`` does; the way back mixes
+    the model's products by ``GuidanceConfig.combine``, as ``cfg_predict``
+    mixes its predictions. A non-finite z_0, or a gradient that turns
+    non-finite at some step, raises NonFiniteError.
     """
     z = as_latent(z_T, dim=pipeline.dim)
-    model, steps = pipeline.model, zip(range(pipeline.schedule.T, 0, -1), pipeline.plan)
-    jac = np.eye(z.size)
+    latents = []
+    for eps_at, scale, noise_t, noise_prev in pipeline.plan:
+        latents.append(z)
+        eps = eps_at(z)
+        z = scale * (z - noise_t * eps) + noise_prev * eps
+    _require_finite(z, "denoised latent")
+    u = pipeline.decoder.adjoint(z, _scorer_gradient(scorer, pipeline.decoder.decode(z)))
+    model = pipeline.model  # need not subclass DenoiserModel, as for the plan's guided_eps
+    vjp_of = getattr(type(model), "predict_vjp", DenoiserModel.predict_vjp)
     try:
-        for t, (eps_at, scale, noise_t, noise_prev) in steps:
-            eps = eps_at(z)
-            j_eps = pipeline.guidance.combine(lambda c: model.predict_jacobian(z, t, c))
-            jac = (scale * np.eye(z.size) + (noise_prev - scale * noise_t) * j_eps) @ jac
-            if not np.isfinite(jac).all():
-                bad = int(np.count_nonzero(~np.isfinite(jac)))
-                raise NonFiniteError(
-                    f"chain Jacobian has {bad} non-finite of {jac.size} entries at step t={t}"
-                )
-            z = scale * (z - noise_t * eps) + noise_prev * eps
+        for t in range(1, len(latents) + 1):  # plan[-t] and latents[-t] are step t's
+            _, scale, noise_t, noise_prev = pipeline.plan[-t]
+            vjp = pipeline.guidance.combine(lambda c: vjp_of(model, latents[-t], t, c, u))
+            u = scale * u + (noise_prev - scale * noise_t) * vjp
+            _require_finite(u, "chain gradient", f" at step t={t}")
     except NotImplementedError as exc:
         raise GradientUnavailableError(
-            "denoiser has no closed-form Jacobian; use finite differences"
+            "denoiser has no vector-Jacobian product; use finite differences"
         ) from exc
-    sample = pipeline.decoder.decode(z)
-    return jac.T @ pipeline.decoder.adjoint(z, _scorer_gradient(scorer, sample))
+    return u
 
 
 def latent_gradient(

@@ -10,7 +10,12 @@ from noisediff.analysis import (
     ratio_quartiles,
     selection_ratio,
 )
-from noisediff.errors import DegenerateStepError, InsufficientSampleError
+from noisediff.errors import (
+    DegenerateStepError,
+    InsufficientSampleError,
+    NonFiniteError,
+    ScorerContractError,
+)
 from noisediff.latents import RngStream
 from noisediff.optimizers import EpochRow, TrajectoryRecord
 from noisediff.scoring import QuadraticSigmoidScorer
@@ -79,6 +84,22 @@ class TestHessianBoundEstimator:
         with pytest.raises(ValueError):
             estimate_hessian_bound(lambda z: 0.0, np.zeros(2), 1.0, 0, RngStream(0, "h"))
 
+    def test_nan_everywhere_raises(self):
+        with pytest.raises(ScorerContractError, match="^probe 0 scored non-finite"):
+            probe_hessian_bound(lambda z: float("nan"), np.zeros(2), 1.0, 5, RngStream(0, "h"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_probe_is_named(self, bad):
+        # x . x has curvature 2; a dropped probe would hide it
+        calls = []
+
+        def score_fn(z):
+            calls.append(z)
+            return bad if len(calls) == 11 else float(z @ z)
+
+        with pytest.raises(ScorerContractError, match="^probe 3 scored non-finite"):
+            probe_hessian_bound(score_fn, np.zeros(2), 1.0, 20, RngStream(0, "h"))
+
     @pytest.mark.parametrize("radius, h", [(float("nan"), None), (0.0, None), (-1.0, None),
                                            (float("inf"), None), (1.0, 0.0), (1.0, float("nan")),
                                            (1.0, float("inf"))])
@@ -126,6 +147,14 @@ class TestImprovementCondition:
     def test_nan_parameter_rejected(self, c, delta):
         with pytest.raises(ValueError):
             check_improvement_condition(0.5, 0.5, np.ones(2), np.ones(2), c=c, delta=delta)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["s", "s_next", "grad", "v"])
+    def test_non_finite_input_rejected(self, name, bad):
+        args = {"s": 0.5, "s_next": 0.6, "grad": np.ones(2), "v": np.ones(2)}
+        args[name] = bad if name in ("s", "s_next") else np.array([bad, 1.0])
+        with pytest.raises(NonFiniteError, match=f"non-finite {name}$"):
+            check_improvement_condition(**args, c=0.0, delta=0.1)
 
     def test_infinite_bound_is_vacuous(self):
         rep = check_improvement_condition(0.5, 0.0, np.ones(2), np.ones(2), c=float("inf"),

@@ -509,18 +509,18 @@ class TestNonFiniteScorerGradient:
         assert cols["epoch"] == [0.0]  # the first gradient already failed
 
 
-class TestNonFiniteChainJacobian:
+class TestNonFiniteChainGradient:
     def test_run_exits_4(self, tmp_path, capsys, monkeypatch):
         from noisediff.diffusion import AnalyticMixtureDenoiser
 
-        monkeypatch.setattr(AnalyticMixtureDenoiser, "predict_jacobian",
-                            lambda self, z, t, condition=None: np.full((self.dim,) * 2, np.inf))
+        monkeypatch.setattr(AnalyticMixtureDenoiser, "predict_vjp",
+                            lambda self, z, t, condition, u: np.full(self.dim, np.inf))
         cfg_path = small_config(tmp_path, epochs=2, seeds="0",
                                 extra="gradient.mode = analytic-chain\n")
         with np.errstate(all="ignore"):
             assert main(["run", str(cfg_path)]) == 4
         err = capsys.readouterr().err
-        assert "NonFiniteError: chain Jacobian" in err
+        assert "NonFiniteError: chain gradient" in err
 
 
 class TestNonFinitePipelineOutput:

@@ -35,7 +35,7 @@ VARIANTS = {
 # literals so that any change to a trajectory, a final latent or a best
 # latent fails the test
 DIGESTS = {
-    "chain": "96a2cc343a986c47688d1ac5a09376e15050598702fadac85a3315f7dc320222",
+    "chain": "f67267d595583cd5828f7b68aea3f5baa1e57691b868dd406c5c23e22db23bb1",
     "fd-budget-2": "e1317efd4edcc17350d32e045feb59b2049367aa2e96fac31be28119f93bf919",
     "mean-variance": "6a3be78fe9c0a96859517eda3556a5c8e81ad6b96397a3f38e7f849e1689c4a5",
     "noise-diffusion": "1ffc1ef9aacc918a7d89cdf8dd39ae1694559c4f68f6ff1267dade003ee053a7",
